@@ -1,8 +1,9 @@
 """MODELS — the axiomatic checker's candidate-enumeration cost.
 
 The cross-checker's unit of work is `allowed_outcomes(program, model)`:
-enumerate every candidate execution (rf choices x co permutations,
-fixpoint value resolution) and filter by the model's acyclicity axioms.
+enumerate the coherent candidate executions (rf choices x co
+permutations, values resolved in one topological pass) and judge them by
+the model's acyclicity axioms.
 This benchmark times that kernel on the two catalog shapes that bound
 the practical range — Dekker's SB (the common 2x2 case) and IRIW (the
 4-processor worst case in the catalog, 4096 candidates) — and asserts:

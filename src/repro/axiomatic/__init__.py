@@ -14,6 +14,7 @@ from repro.axiomatic.candidates import (
     Candidate,
     CandidateBudgetExceeded,
     NotStraightLine,
+    coherent_candidates,
     enumerate_candidates,
     is_straightline,
 )
@@ -26,6 +27,7 @@ from repro.axiomatic.crosscheck import (
 from repro.axiomatic.model import (
     AXIOMATIC_MODELS,
     AxiomaticModel,
+    Violation,
     axiomatic_model_names,
     model_by_name,
     model_for_policy,
@@ -33,6 +35,7 @@ from repro.axiomatic.model import (
 from repro.axiomatic.relations import (
     Relations,
     acyclic,
+    find_cycle,
     relations_from_execution,
 )
 
@@ -45,11 +48,14 @@ __all__ = [
     "CrosscheckReport",
     "NotStraightLine",
     "Relations",
+    "Violation",
     "acyclic",
     "allowed_outcomes",
     "axiomatic_model_names",
+    "coherent_candidates",
     "crosscheck_models",
     "enumerate_candidates",
+    "find_cycle",
     "is_straightline",
     "model_by_name",
     "model_for_policy",

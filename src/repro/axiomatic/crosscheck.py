@@ -48,7 +48,7 @@ from repro.memsys.config import MachineConfig, NET_CACHE, NET_NOCACHE
 from repro.memsys.system import ConfigurationError, ensure_compatible
 from repro.axiomatic.candidates import (
     DEFAULT_MAX_CANDIDATES,
-    enumerate_candidates,
+    coherent_candidates,
     is_straightline,
 )
 from repro.axiomatic.model import AxiomaticModel, model_for_policy
@@ -67,10 +67,14 @@ def allowed_outcomes(
     drf0: Optional[bool] = None,
     drf0_r: Optional[bool] = None,
 ) -> FrozenSet[Observable]:
-    """The observables ``model`` allows for a straight-line program."""
+    """The observables ``model`` allows for a straight-line program.
+
+    Only coherent candidates reach ``model.allows``: sc-per-location is
+    an axiom of every model, so no other candidate could be allowed.
+    """
     return frozenset(
         candidate.observable
-        for candidate in enumerate_candidates(
+        for candidate in coherent_candidates(
             program, max_candidates=max_candidates, drf0=drf0, drf0_r=drf0_r
         )
         if model.allows(candidate.relations)

@@ -26,6 +26,10 @@ policy.  The strong models keep progressively more:
   neither do we);
 * ``RELAXED`` keeps only fenced pairs.
 
+A candidate a model forbids explains itself:
+:meth:`AxiomaticModel.violation` names the violated axiom together with
+a witness cycle, such as ``po;fr;po;fr`` for SB under SC.
+
 Each operational policy maps to the axiomatic model that *soundly*
 describes it via :func:`model_for_policy`; the cross-checker
 (:mod:`repro.axiomatic.crosscheck`) holds the two accountable to each
@@ -35,10 +39,11 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.core.operation import MemoryOp
-from repro.axiomatic.relations import Edge, Relations, acyclic
+from repro.axiomatic.relations import Edge, Relations, acyclic, find_cycle
 
 #: ppo predicate: whether the po-pair ``(a, b)`` is preserved.  The
 #: third argument says whether the pair is fence-separated.
@@ -72,6 +77,34 @@ def _keep_fenced(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
     return fenced
 
 
+#: An axiom's relations, each named for witness rendering.
+LabelledRelations = Tuple[Tuple[str, FrozenSet[Edge]], ...]
+
+
+@dataclass(frozen=True)
+class Violation:
+    """A violated axiom and the cycle that witnesses it.
+
+    ``cycle`` lists the cycle's edges in order as ``(source, relation,
+    target)``; the last target is the first source.  Forbidden SB under
+    SC, for instance, is the ``ghb`` cycle ``po;fr;po;fr``.
+    """
+
+    axiom: str
+    cycle: Tuple[Tuple[MemoryOp, str, MemoryOp], ...]
+
+    @property
+    def labels(self) -> str:
+        """The cycle's relation names, e.g. ``"po;fr;po;fr"``."""
+        return ";".join(relation for _, relation, _ in self.cycle)
+
+    def describe(self) -> str:
+        steps = [repr(self.cycle[0][0])]
+        for _, relation, target in self.cycle:
+            steps.append(f"-{relation}-> {target!r}")
+        return f"{self.axiom} cycle {self.labels}: " + " ".join(steps)
+
+
 @dataclass(frozen=True)
 class AxiomaticModel:
     """One memory model as a ppo rule (plus the two shared axioms).
@@ -96,23 +129,68 @@ class AxiomaticModel:
             (a, b) for a, b in relations.po if rule(a, b, (a, b) in fenced)
         )
 
+    def axioms(
+        self, relations: Relations
+    ) -> Iterator[Tuple[str, LabelledRelations]]:
+        """Each axiom's name and the relations whose union must be acyclic.
+
+        Lazy, so a later axiom's relations are built only once the
+        earlier ones hold.
+        """
+        yield "sc-per-location", (
+            ("po", relations.po_loc_edges()),
+            ("rf", relations.rf_edges()),
+            ("co", relations.co_edges()),
+            ("fr", relations.fr_edges()),
+        )
+        yield "ghb", (
+            ("po", self.ppo(relations)),
+            ("rf", relations.rfe_edges()),
+            ("co", relations.co_edges()),
+            ("fr", relations.fr_edges()),
+        )
+
     def violated_axiom(self, relations: Relations) -> Optional[str]:
         """The name of the first violated axiom, or None if consistent."""
-        if not acyclic(relations.po_loc_edges() | relations.com_edges()):
-            return "sc-per-location"
-        ghb = (
-            self.ppo(relations)
-            | relations.rfe_edges()
-            | relations.co_edges()
-            | relations.fr_edges()
-        )
-        if not acyclic(ghb):
-            return "ghb"
+        for axiom, parts in self.axioms(relations):
+            if not acyclic(chain.from_iterable(edges for _, edges in parts)):
+                return axiom
+        return None
+
+    def violation(self, relations: Relations) -> Optional[Violation]:
+        """The first violated axiom with its witness cycle, or None.
+
+        Edges are searched in ``relations.ops`` order and the cycle is
+        rotated to start at its earliest op, so the witness does not
+        depend on set iteration order.
+        """
+        rank = {op: i for i, op in enumerate(relations.ops)}
+        for axiom, parts in self.axioms(relations):
+            edges = sorted(
+                {edge for _, part in parts for edge in part},
+                key=lambda edge: (rank[edge[0]], rank[edge[1]]),
+            )
+            cycle = find_cycle(edges)
+            if cycle is None:
+                continue
+            start = min(range(len(cycle)), key=lambda i: rank[cycle[i]])
+            cycle = cycle[start:] + cycle[:start]
+            return Violation(
+                axiom=axiom,
+                cycle=tuple(
+                    (src, _relation_of((src, dst), parts), dst)
+                    for src, dst in zip(cycle, cycle[1:] + cycle[:1])
+                ),
+            )
         return None
 
     def allows(self, relations: Relations) -> bool:
         """Whether the candidate is consistent under this model."""
         return self.violated_axiom(relations) is None
+
+
+def _relation_of(edge: Edge, parts: LabelledRelations) -> str:
+    return next(name for name, edges in parts if edge in edges)
 
 
 _MODELS: Tuple[AxiomaticModel, ...] = (

@@ -46,38 +46,44 @@ from repro.core.program import Program
 Edge = Tuple[MemoryOp, MemoryOp]
 
 
-def acyclic(edges: Iterable[Edge]) -> bool:
-    """Whether the directed graph formed by ``edges`` has no cycle.
+def find_cycle(edges: Iterable[Edge]) -> Optional[List[MemoryOp]]:
+    """A cycle of the directed graph formed by ``edges``, or ``None``.
 
-    Iterative three-colour depth-first search; the op graphs here are a
-    handful of nodes, so no cleverness is warranted.
+    The cycle is returned as its nodes in edge order: ``[a, b, c]``
+    witnesses ``a -> b -> c -> a``.  Iterative depth-first search; the
+    op graphs here are a handful of nodes, so no cleverness is
+    warranted.
     """
     adjacency: Dict[MemoryOp, List[MemoryOp]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, []).append(dst)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[MemoryOp, int] = {}
+    #: True while a node is on the current path, False once finished.
+    on_path: Dict[MemoryOp, bool] = {}
     for root in adjacency:
-        if colour.get(root, WHITE) is not WHITE:
+        if root in on_path:
             continue
-        stack: List[Tuple[MemoryOp, int]] = [(root, 0)]
-        colour[root] = GREY
-        while stack:
-            node, child_index = stack[-1]
-            children = adjacency.get(node, ())
-            if child_index < len(children):
-                stack[-1] = (node, child_index + 1)
-                child = children[child_index]
-                state = colour.get(child, WHITE)
-                if state == GREY:
-                    return False
-                if state == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, 0))
+        on_path[root] = True
+        path = [root]
+        children = [iter(adjacency[root])]
+        while children:
+            for child in children[-1]:
+                state = on_path.get(child)
+                if state is None:
+                    on_path[child] = True
+                    path.append(child)
+                    children.append(iter(adjacency.get(child, ())))
+                    break
+                if state:
+                    return path[path.index(child):]
             else:
-                colour[node] = BLACK
-                stack.pop()
-    return True
+                on_path[path.pop()] = False
+                children.pop()
+    return None
+
+
+def acyclic(edges: Iterable[Edge]) -> bool:
+    """Whether the directed graph formed by ``edges`` has no cycle."""
+    return find_cycle(edges) is None
 
 
 @dataclass
@@ -152,13 +158,6 @@ class Relations:
             return frozenset(edges)
 
         return self._derived("fr", build)
-
-    def com_edges(self) -> FrozenSet[Edge]:
-        """Communication: ``rf ∪ co ∪ fr``."""
-        return self._derived(
-            "com",
-            lambda: self.rf_edges() | self.co_edges() | self.fr_edges(),
-        )
 
     def po_loc_edges(self) -> FrozenSet[Edge]:
         """Program-order pairs over the same location."""

@@ -1191,8 +1191,9 @@ def build_parser() -> argparse.ArgumentParser:
     crosscheck.add_argument(
         "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
         metavar="N",
-        help="abort a test whose axiomatic candidate space exceeds N "
-        f"executions (default {DEFAULT_MAX_CANDIDATES})",
+        help="abort a test whose raw axiomatic candidate space (rf "
+        "choices x co permutations, counted before enumeration) exceeds "
+        f"N executions (default {DEFAULT_MAX_CANDIDATES})",
     )
     add_campaign_options(crosscheck)
     add_obs_options(crosscheck)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 
 class ProgressReporter:
@@ -30,6 +30,7 @@ class ProgressReporter:
         stream=None,
         interval: float = 1.0,
         total: int = 0,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
@@ -39,8 +40,11 @@ class ProgressReporter:
         self.skipped = 0
         self.failed = 0
         self.lines_emitted = 0
-        self._started = time.monotonic()
-        self._last_emit = 0.0
+        self._clock = clock
+        self._started = clock()
+        #: ``None`` until the first line, which is never throttled: a
+        #: monotonic clock's zero is arbitrary (host boot, for one).
+        self._last_emit: Optional[float] = None
 
     # -- campaign wiring -------------------------------------------
 
@@ -61,8 +65,8 @@ class ProgressReporter:
         self.done += 1
         if result is not None and getattr(result, "failure", None) is not None:
             self.failed += 1
-        now = time.monotonic()
-        if now - self._last_emit >= self.interval:
+        now = self._clock()
+        if self._last_emit is None or now - self._last_emit >= self.interval:
             self._emit(now)
 
     def finish(self, metrics=None) -> None:
@@ -75,7 +79,7 @@ class ProgressReporter:
     # -- rendering --------------------------------------------------
 
     def _emit(self, now: Optional[float] = None, final: bool = False) -> None:
-        now = now if now is not None else time.monotonic()
+        now = now if now is not None else self._clock()
         self._last_emit = now
         elapsed = max(now - self._started, 1e-9)
         rate = self.done / elapsed

@@ -14,6 +14,7 @@ from repro.core.program import Program, ThreadBuilder
 from repro.litmus.catalog import (
     critical_section,
     fig1_dekker,
+    iriw,
     write_to_read_causality,
 )
 from repro.litmus.runner import LitmusRunner
@@ -54,6 +55,16 @@ class TestEnumeration:
         with pytest.raises(CandidateBudgetExceeded):
             list(enumerate_candidates(program, max_candidates=2))
 
+    def test_budget_bounds_the_raw_space_before_enumerating(self):
+        """4096 raw candidates, 324 coherent: the budget counts the 4096."""
+        program = LitmusRunner().executable(iriw(warm=True))
+        relaxed = model_by_name("RELAXED")
+        with pytest.raises(CandidateBudgetExceeded):
+            next(enumerate_candidates(program, max_candidates=4095))
+        with pytest.raises(CandidateBudgetExceeded):
+            allowed_outcomes(program, relaxed, max_candidates=4095)
+        assert len(allowed_outcomes(program, relaxed, max_candidates=4096)) == 324
+
     @pytest.mark.parametrize(
         "make_test", [fig1_dekker, write_to_read_causality],
         ids=["dekker", "wrc"],
@@ -63,8 +74,8 @@ class TestEnumeration:
 
         Equality (not just mutual containment of a sample): the SC
         axioms must neither forbid a reachable outcome nor invent an
-        unreachable one.  ``wrc`` adds register-valued stores, so the
-        fixpoint value resolution is on the hook too.
+        unreachable one.  ``wrc`` adds register-valued stores, so value
+        resolution is on the hook too.
         """
         runner = LitmusRunner()
         program = runner.executable(make_test())

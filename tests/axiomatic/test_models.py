@@ -10,13 +10,20 @@ import pytest
 from repro.axiomatic import (
     AXIOMATIC_MODELS,
     axiomatic_model_names,
+    enumerate_candidates,
     model_by_name,
     model_for_policy,
 )
 from repro.axiomatic.crosscheck import allowed_outcomes
 from repro.drf.drf0 import check_program
 from repro.drf.models import DRF0, DRF0_R
-from repro.litmus.catalog import catalog_by_name, forwarding_catalog
+from repro.litmus.catalog import (
+    catalog_by_name,
+    coherence_corr,
+    fig1_dekker,
+    forwarding_catalog,
+    message_passing,
+)
 from repro.litmus.runner import LitmusRunner
 
 MODELS = ("SC", "TSO", "PSO", "WO", "WO-DRF0", "RELAXED")
@@ -119,3 +126,52 @@ class TestRegistry:
         }
         for policy in policy_names():
             assert model_for_policy(policy).name == expected[policy]
+
+
+class TestWitness:
+    """A forbidden outcome explains itself with its violating cycle."""
+
+    @staticmethod
+    def _forbidden_candidate(test):
+        (candidate,) = [
+            c for c in enumerate_candidates(test.program)
+            if test.project(c.observable) == test.forbidden
+        ]
+        return candidate.relations
+
+    def test_sb_under_sc_is_po_fr_po_fr(self):
+        relations = self._forbidden_candidate(fig1_dekker())
+        violation = model_by_name("SC").violation(relations)
+        assert violation.axiom == "ghb"
+        assert violation.labels == "po;fr;po;fr"
+        assert model_by_name("SC").violated_axiom(relations) == "ghb"
+        assert violation.describe() == (
+            "ghb cycle po;fr;po;fr: W(P0,x) -po-> R(P0,y) -fr-> W(P1,y) "
+            "-po-> R(P1,x) -fr-> W(P0,x)"
+        )
+        assert model_by_name("TSO").violation(relations) is None
+
+    def test_mp_under_sc_is_po_rf_po_fr(self):
+        relations = self._forbidden_candidate(message_passing())
+        for name in ("SC", "TSO"):
+            violation = model_by_name(name).violation(relations)
+            assert violation.axiom == "ghb"
+            assert violation.labels == "po;rf;po;fr"
+            src, _, dst = violation.cycle[-1]
+            assert violation.cycle[0][0] is dst
+        assert model_by_name("PSO").violation(relations) is None
+
+    def test_incoherent_candidate_names_sc_per_location(self):
+        test = coherence_corr()
+        program = test.program
+        incoherent = [
+            c.relations for c in enumerate_candidates(program)
+            if model_by_name("RELAXED").violated_axiom(c.relations)
+        ]
+        assert incoherent
+        for relations in incoherent:
+            violation = model_by_name("RELAXED").violation(relations)
+            assert violation.axiom == "sc-per-location"
+            assert set(violation.labels.split(";")) <= {
+                "po", "rf", "co", "fr"
+            }

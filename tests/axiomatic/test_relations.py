@@ -5,6 +5,7 @@ import pytest
 from repro.axiomatic import (
     acyclic,
     enumerate_candidates,
+    find_cycle,
     model_by_name,
     relations_from_execution,
 )
@@ -24,6 +25,11 @@ class TestAcyclic:
 
     def test_disconnected_cycle_is_found(self):
         assert not acyclic([(1, 2), (10, 11), (11, 10)])
+
+    def test_find_cycle_returns_the_witness(self):
+        assert find_cycle([(1, 2), (2, 3), (1, 3)]) is None
+        assert find_cycle([(1, 1)]) == [1]
+        assert find_cycle([(0, 1), (1, 2), (2, 3), (3, 1)]) == [1, 2, 3]
 
 
 @pytest.fixture(scope="module")

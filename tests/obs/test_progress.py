@@ -59,11 +59,29 @@ class TestReporter:
         for _ in range(50):
             reporter.tick(_Ok())
         assert reporter.done == 50
-        # The first tick emits (it is already `interval` past epoch);
-        # every later one is throttled until finish.
+        # The first tick always emits; every later one is throttled
+        # until finish.
         assert len(stream.getvalue().splitlines()) == 1
         reporter.finish()
         assert "50/100" in stream.getvalue()
+
+    def test_first_line_emits_on_a_clock_near_zero(self):
+        """A monotonic clock may start anywhere, e.g. just after boot."""
+        now = [0.25]
+        reporter, stream = _reporter(
+            total=100, interval=3600.0, clock=lambda: now[0]
+        )
+        now[0] = 0.75
+        reporter.tick(_Ok())
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("[t] 1/100 (1%) 2.0 runs/s")
+        now[0] = 1.5
+        reporter.tick(_Ok())
+        assert len(stream.getvalue().splitlines()) == 1
+        now[0] = 3600.75
+        reporter.tick(_Ok())
+        assert len(stream.getvalue().splitlines()) == 2
 
     def test_reusable_across_campaigns(self):
         reporter, stream = _reporter(total=0)
