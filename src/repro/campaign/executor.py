@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import threading
 import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -79,6 +80,29 @@ def execute_spec_observed(spec: RunSpec):
     before = METRICS.snapshot()
     result = execute_spec_guarded(spec)
     return result, METRICS.snapshot().diff(before)
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent process dies.
+
+    A parent that is SIGKILLed never shuts its pool down, so without
+    this its idle workers (and the resource tracker they keep alive)
+    would linger, reparented to init.  The parent's sentinel becomes
+    readable exactly when the parent is gone.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None or parent.sentinel is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def _collect(value):
@@ -235,8 +259,10 @@ class ParallelExecutor(Executor):
     simultaneous rebuilds — many executors sharing a machine (the
     service tier) would otherwise stampede the freshly rebuilt pools in
     lock-step — while ``backoff_seed`` pins the draw sequence for
-    reproducible tests; ``backoff_jitter=False`` restores the
-    deterministic ceiling-valued sleep.  After
+    reproducible tests (:meth:`reseed_backoff` restarts it, so a
+    long-lived executor can give every batch its own sequence);
+    ``backoff_jitter=False`` restores the deterministic ceiling-valued
+    sleep.  After
     ``max_pool_rebuilds`` pool failures the executor degrades to
     in-process serial execution for the remaining specs, so the batch
     always completes.  ``RunFailure.attempts`` on environment-caused
@@ -250,6 +276,10 @@ class ParallelExecutor(Executor):
     at fork time and deadlock — harmless to the batch (its runs are
     retried elsewhere) but fatal at shutdown, where joining the wedged
     worker hangs interpreter exit.
+
+    The pool is built on the first ``map`` that needs it and kept until
+    :meth:`close`, so one executor serving many batches starts its
+    workers once.  Workers exit by themselves if the parent dies.
     """
 
     def __init__(
@@ -273,7 +303,7 @@ class ParallelExecutor(Executor):
         self.preemptible = preemptible
         self.preempt_drain = preempt_drain
         self.backoff_jitter = backoff_jitter
-        self._backoff_rng = random.Random(backoff_seed)
+        self.reseed_backoff(backoff_seed)
         self.mp_context = mp_context
         self._pool = None
         self._pool_failures = 0
@@ -291,7 +321,8 @@ class ParallelExecutor(Executor):
 
                 context = multiprocessing.get_context(self.mp_context)
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
+                max_workers=self.jobs, mp_context=context,
+                initializer=_exit_with_parent,
             )
         return self._pool
 
@@ -303,6 +334,10 @@ class ParallelExecutor(Executor):
             except Exception:
                 pass
             self._pool = None
+
+    def reseed_backoff(self, seed: Optional[int]) -> None:
+        """Restart the backoff jitter's draw sequence from ``seed``."""
+        self._backoff_rng = random.Random(seed)
 
     def _backoff_delay(self, failures: int) -> float:
         """Seconds to wait before the ``failures``-th pool rebuild.
@@ -480,11 +515,12 @@ class ParallelExecutor(Executor):
                 break
             if pool_broke:
                 self._rebuild_pool()
-            elif stuck_worker and retry:
+            elif stuck_worker:
                 # A timed-out run is still occupying a worker; reclaim
-                # the capacity before retrying.
+                # the capacity before retrying, or before the next batch.
                 self._discard_pool()
-                self.pool_rebuilds += 1
+                if retry:
+                    self.pool_rebuilds += 1
             pending = retry
 
         # Every index is filled by the loop above; the fallback is pure

@@ -31,6 +31,10 @@ Durability model:
   have died mid-write, or may even still be flushing) starts its own
   appends on a fresh line, so the torn fragment stays confined to one
   unparseable line instead of fusing with the first new record.
+* **Results are indexed, not held.**  Only each result record's byte
+  offset stays in memory; a lookup reads the line back and decodes it,
+  so a long-lived journal (the service's) grows by a digest per run,
+  not by a decoded result per run.
 * **Writes are thread-safe.**  The service tier runs several campaigns
   against one shared journal from concurrent worker threads; every
   mutating method takes the journal's lock, so records never interleave
@@ -51,8 +55,9 @@ import os
 import pickle
 import threading
 import time
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.campaign.spec import RunResult
 from repro.obs import METRICS
@@ -86,6 +91,39 @@ def _decode_result(blob: str) -> RunResult:
     return result
 
 
+class _ResultIndex(Mapping):
+    """Digest -> :class:`RunResult`, read back from the journal file.
+
+    Holds only each result record's byte offset; ``index[digest]``
+    re-reads that line and decodes it.  Offsets are added only after
+    their record was written and flushed, so a lookup always finds it.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.offsets: Dict[str, int] = {}
+
+    def __getitem__(self, digest: str) -> RunResult:
+        offset = self.offsets[digest]
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            record = json.loads(handle.readline())
+        if record.get("digest") != digest:
+            raise JournalError(
+                f"journal {self.path} changed under its index at {offset}"
+            )
+        return _decode_result(record["result"])
+
+    def __contains__(self, digest: object) -> bool:
+        return digest in self.offsets
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+
 class CampaignJournal:
     """An append-only, fsync'd JSONL record of campaign progress.
 
@@ -109,8 +147,9 @@ class CampaignJournal:
         self.path = Path(path)
         self.fsync_every = max(1, fsync_every)
         self.checkpoint_interval = max(1, checkpoint_interval)
-        #: Digest -> result for every result record already on disk.
-        self.replayed: Dict[str, RunResult] = {}
+        #: Digest -> result for every result record on disk (a
+        #: read-only mapping that decodes on lookup).
+        self.replayed = _ResultIndex(self.path)
         #: Most recent consumer checkpoint per kind (last one wins).
         self._checkpoints: Dict[str, dict] = {}
         #: ``campaign`` header records seen on load, in file order.
@@ -129,7 +168,7 @@ class CampaignJournal:
         self._tail_open = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._load()
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = self.path.open("ab")
 
     # ------------------------------------------------------------------
     # Reading (replay)
@@ -140,16 +179,18 @@ class CampaignJournal:
         except FileNotFoundError:
             return
         self._tail_open = bool(raw) and not raw.endswith(b"\n")
-        for line in raw.splitlines():
+        offset = 0
+        for line in raw.split(b"\n"):
+            start, offset = offset, offset + len(line) + 1
             if not line.strip():
                 continue
             try:
                 record = json.loads(line.decode("utf-8"))
                 kind = record["type"]
                 if kind == "result":
-                    self.replayed[record["digest"]] = _decode_result(
-                        record["result"]
-                    )
+                    # Decoded once to vet the blob, then only indexed.
+                    _decode_result(record["result"])
+                    self.replayed.offsets[record["digest"]] = start
                 elif kind == "campaign":
                     self.campaigns.append(record)
                 elif kind == "checkpoint":
@@ -174,7 +215,8 @@ class CampaignJournal:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
+    def _append(self, record: dict) -> int:
+        """Write one record; returns its byte offset in the file."""
         if self._handle is None:
             raise JournalError(f"journal {self.path} is closed")
         started = time.perf_counter() if METRICS.enabled else 0.0
@@ -182,10 +224,14 @@ class CampaignJournal:
             # Seal the torn fragment off on its own line before the
             # first new record; the fragment stays one unparseable
             # (tolerated) line instead of swallowing this append.
-            self._handle.write("\n")
+            self._handle.write(b"\n")
             self._tail_open = False
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        self._handle.write(line)
         self._handle.flush()
+        # Append mode leaves the position at the end of what was just
+        # written, even when another process appended in between.
+        offset = self._handle.tell() - len(line)
         self.appended += 1
         self._unsynced += 1
         if METRICS.enabled:
@@ -199,6 +245,7 @@ class CampaignJournal:
             )
         if self._unsynced >= self.fsync_every:
             self.sync()
+        return offset
 
     def begin_campaign(self, label: str, digest: str, total: int) -> None:
         """Stamp a campaign header: what batch this journal is serving."""
@@ -226,8 +273,7 @@ class CampaignJournal:
         with self._lock:
             if digest in self.replayed:
                 return False
-            self.replayed[digest] = result
-            self._append(
+            self.replayed.offsets[digest] = self._append(
                 {
                     "type": "result",
                     "digest": digest,

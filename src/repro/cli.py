@@ -1336,7 +1336,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent jobs (engine worker threads)")
     serve.add_argument("--campaign-jobs", type=int, default=2, metavar="N",
-                       help="worker processes per campaign (1 = serial)")
+                       help="worker processes per service worker thread, "
+                            "started on the first pool job and kept until "
+                            "shutdown (1 = serial)")
     serve.add_argument("--run-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per run (deadlines may "

@@ -13,7 +13,8 @@ final judge, same as for CLI campaigns.
 :class:`ServerProcess` supervises one ``repro serve`` subprocess:
 start, find its endpoint, signal it, and locate its *worker* processes
 (the campaign pool children) so tests can SIGKILL a worker mid-campaign
-without touching the server — the pool-rebuild path under real load.
+without touching the server — the pool-rebuild path under real load —
+and check that no worker outlives the server.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "assert_exactly_once",
     "default_repo_env",
     "journal_results",
+    "pid_alive",
     "wait_until",
 ]
 
@@ -144,17 +146,29 @@ class ServerProcess:
     # ------------------------------------------------------------------
     # Worker discovery (the campaign pool's child processes)
     # ------------------------------------------------------------------
-    def worker_pids(self) -> List[int]:
-        """Live descendant pids of the server (pool workers), via /proc."""
+    def descendant_pids(self) -> List[int]:
+        """Live descendant pids of the server, via /proc.
+
+        Pool workers, plus the resource tracker the spawn start method
+        runs beside them.
+        """
         if self.proc is None or self.proc.poll() is not None:
             return []
         return _descendants(self.proc.pid)
 
+    def worker_pids(self) -> List[int]:
+        """Live pool-worker pids of the server (spawned processes)."""
+        return [
+            pid for pid in self.descendant_pids()
+            if b"spawn_main" in _cmdline(pid)
+        ]
+
     def kill_one_worker(self, timeout: float = 30.0) -> int:
         """SIGKILL one pool worker; returns its pid.
 
-        Waits for a worker to exist first — campaigns build their pools
-        lazily, so right after a submit there may be none yet.
+        Waits for a worker to exist first — each service worker thread
+        starts its pool on its first pool job (and keeps it until
+        shutdown), so right after a submit there may be none yet.
         """
         found: List[int] = []
 
@@ -166,6 +180,22 @@ class ServerProcess:
         victim = found[0]
         os.kill(victim, signal.SIGKILL)
         return victim
+
+
+def pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs (an exited, unreaped zombie is dead)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+def _cmdline(pid: int) -> bytes:
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return b""
 
 
 def _descendants(pid: int) -> List[int]:

@@ -21,11 +21,15 @@ testable in-process.  A submission flows through four gates:
    its parameters and re-run, replaying completed runs from the
    campaign journal — exactly-once per RunSpec digest, byte-identical
    results.
-4. **Degrade** — campaign kinds normally run on a worker pool guarded
-   by the :class:`~repro.service.breaker.CircuitBreaker`.  While the
-   breaker is open, jobs run in-process serial instead — slower, byte-
-   identical, flagged ``degraded=true`` — so pool-layer sickness costs
-   latency, never correctness and never an error page.
+4. **Degrade** — campaign kinds normally run on a process pool guarded
+   by the :class:`~repro.service.breaker.CircuitBreaker`.  Each worker
+   thread owns one pool, started on its first pool job and kept warm
+   across jobs until the thread exits; a pool that fell sick during a
+   job is dropped before the failure is recorded, so the next pool job
+   (the breaker's half-open probe included) starts on a fresh one.
+   While the breaker is open, jobs run in-process serial instead —
+   slower, byte-identical, flagged ``degraded=true`` — so pool-layer
+   sickness costs latency, never correctness and never an error page.
 
 Deadlines propagate: a submission's budget is stamped at admission, so
 queue wait counts against it; the remainder at execution start becomes
@@ -176,6 +180,8 @@ class VerificationService:
         #: Normalized work per queued/running job id.
         self._work: Dict[str, JobWork] = {}
         self._threads: List[threading.Thread] = []
+        #: Per worker thread: its warm pool (``pool``), once started.
+        self._local = threading.local()
         self._draining = False
         self._started = False
         self._exit = contextlib.ExitStack()
@@ -356,21 +362,52 @@ class VerificationService:
     # Execution (worker threads)
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._pending and not self.draining:
-                    self._cond.wait(timeout=0.2)
-                if self.draining:
-                    return
-                job_id = self._pending.pop(0)
-                job = self._jobs[job_id]
-                work = self._work[job_id]
-                job.state = RUNNING
-                job.started_at = time.time()
-            try:
-                self._execute(job, work)
-            except Exception as exc:  # pragma: no cover - last resort
-                self._finish(job, error=f"{type(exc).__name__}: {exc}")
+        try:
+            while True:
+                with self._lock:
+                    while not self._pending and not self.draining:
+                        self._cond.wait(timeout=0.2)
+                    if self.draining:
+                        return
+                    job_id = self._pending.pop(0)
+                    job = self._jobs[job_id]
+                    work = self._work[job_id]
+                    job.state = RUNNING
+                    job.started_at = time.time()
+                try:
+                    self._execute(job, work)
+                except Exception as exc:  # pragma: no cover - last resort
+                    self._drop_pool()
+                    self._finish(job, error=f"{type(exc).__name__}: {exc}")
+        finally:
+            self._drop_pool()
+
+    def _pool_for(
+        self, job: Job, run_timeout: Optional[float]
+    ) -> ParallelExecutor:
+        """This thread's warm pool, with ``job``'s timeout and backoff."""
+        executor = getattr(self._local, "pool", None)
+        if executor is None:
+            executor = self._local.pool = ParallelExecutor(
+                jobs=self.campaign_jobs,
+                retries=self.retries,
+                # Never fork a multi-threaded server: a worker forked
+                # while another thread held a lock deadlocks, and
+                # joining it at shutdown hangs interpreter exit.
+                mp_context="spawn",
+            )
+        executor.run_timeout = run_timeout
+        # Seeded per job so retry timing is reproducible in tests yet
+        # decorrelated across jobs.
+        executor.reseed_backoff(int(job.digest[:8], 16))
+        return executor
+
+    def _drop_pool(self) -> None:
+        """Shut this thread's pool down; the next pool job starts anew."""
+        executor = getattr(self._local, "pool", None)
+        if executor is not None:
+            self._local.pool = None
+            executor.close()
 
     def _remaining_budget(self, job: Job) -> Optional[float]:
         if job.deadline is None:
@@ -401,31 +438,17 @@ class VerificationService:
             run_timeout = (
                 budget if run_timeout is None else min(run_timeout, budget)
             )
-        if use_pool:
-            executor = ParallelExecutor(
-                jobs=self.campaign_jobs,
-                run_timeout=run_timeout,
-                retries=self.retries,
-                # Seeded per job so retry timing is reproducible in
-                # tests yet decorrelated across jobs.
-                backoff_seed=int(job.digest[:8], 16),
-                # Never fork a multi-threaded server: a worker forked
-                # while another thread held a lock deadlocks, and
-                # joining it at shutdown hangs interpreter exit.
-                mp_context="spawn",
-            )
-        else:
-            executor = SerialExecutor()
-        try:
-            campaign = run_campaign(
-                work.specs,
-                executor=executor,
-                cache=self.cache,
-                journal=self.journal,
-                label=f"job:{job.id}",
-            )
-        finally:
-            executor.close()
+        executor = (
+            self._pool_for(job, run_timeout) if use_pool
+            else SerialExecutor()
+        )
+        campaign = run_campaign(
+            work.specs,
+            executor=executor,
+            cache=self.cache,
+            journal=self.journal,
+            label=f"job:{job.id}",
+        )
 
         if use_pool:
             pool_sick = (
@@ -438,6 +461,7 @@ class VerificationService:
                 )
             )
             if pool_sick:
+                self._drop_pool()
                 self.breaker.record_failure()
             else:
                 self.breaker.record_success()

@@ -178,6 +178,70 @@ class TestCrashRecovery:
         ]
 
 
+class TestResultIndex:
+    """Results stay on disk: the journal indexes them by byte offset."""
+
+    def test_lookups_decode_what_was_recorded(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        specs = _specs(4)
+        recorded = {spec.digest(): spec.execute() for spec in specs}
+        with CampaignJournal(path) as journal:
+            for digest, result in recorded.items():
+                journal.record(digest, result)
+            # Results this instance appended are read back too.
+            assert {
+                d: pickle.dumps(r) for d, r in journal.replayed.items()
+            } == {d: pickle.dumps(r) for d, r in recorded.items()}
+        with CampaignJournal(path) as reopened:
+            assert reopened.torn_records == 0
+            assert set(reopened.replayed) == set(recorded)
+            for digest, result in recorded.items():
+                assert pickle.dumps(reopened.replayed[digest]) == (
+                    pickle.dumps(result)
+                )
+            assert reopened.replayed.get("missing") is None
+
+    def test_index_holds_offsets_not_results(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        specs = _specs(3)
+        run_campaign(specs, journal=path)
+        with CampaignJournal(path) as journal:
+            journal.record("extra", specs[0].execute())
+            offsets = journal.replayed.offsets
+            assert len(offsets) == 4
+            assert all(type(offset) is int for offset in offsets.values())
+            assert not any(
+                isinstance(value, RunResult)
+                for value in vars(journal.replayed).values()
+            )
+
+    def test_offsets_stay_right_when_another_writer_appends(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        results = [spec.execute() for spec in _specs(3)]
+        with CampaignJournal(path) as first, CampaignJournal(path) as second:
+            first.record("d0", results[0])
+            second.record("d1", results[1])
+            first.record("d2", results[2])
+            assert pickle.dumps(first.replayed["d2"]) == (
+                pickle.dumps(results[2])
+            )
+            assert pickle.dumps(second.replayed["d1"]) == (
+                pickle.dumps(results[1])
+            )
+
+    def test_undecodable_blob_counts_as_torn_at_load(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        run_campaign(_specs(2), journal=path)
+        with path.open("a") as fh:
+            fh.write(json.dumps({
+                "type": "result", "digest": "bad", "result": "!!!",
+            }) + "\n")
+        with CampaignJournal(path) as journal:
+            assert journal.torn_records == 1
+            assert "bad" not in journal.replayed
+            assert len(journal.replayed) == 2
+
+
 class TestJournalPolicy:
     def test_environmental_failures_never_journaled(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -10,6 +10,7 @@ threads at once.
 """
 
 import json
+import sys
 import threading
 
 from repro.campaign import CampaignJournal
@@ -169,3 +170,39 @@ class TestRecordContention:
         journal.close()
         for line in path.read_text().splitlines():
             json.loads(line)  # every line parses: no interleaving
+
+    def test_lookups_under_concurrent_records_read_their_own_record(
+        self, tmp_path
+    ):
+        # Lookups re-read records by byte offset, so an offset taken
+        # from the wrong append would decode a sibling's result.
+        journal = CampaignJournal(tmp_path / "j.jsonl", fsync_every=64)
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def write_and_read(base):
+            try:
+                for i in range(40):
+                    digest = f"t{base}-{i}"
+                    journal.record(digest, _result(base * 1000 + i))
+                    if journal.replayed[digest].cycles != base * 1000 + i:
+                        failures.append(digest)
+            except Exception as exc:  # pragma: no cover - the failure
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=write_and_read, args=(b,))
+            for b in range(6)
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert len(journal) == 240
+        journal.close()

@@ -128,6 +128,9 @@ class TestWallClockTimeout:
         specs = _specs_with(_spec(SleepingSpec, seed=1))
         with ParallelExecutor(jobs=2, run_timeout=0.25, retries=0) as executor:
             results = executor.map(specs)
+            # The worker still running the abandoned spec is not kept
+            # for the next batch.
+            assert executor._pool is None
         assert results[1].failure is not None
         assert results[1].failure.kind == "wall-timeout"
         for i in (0, 2, 3):

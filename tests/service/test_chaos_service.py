@@ -9,6 +9,9 @@ baseline (:func:`assert_exactly_once` — the same judge the campaign
 soak harness answers to).  A SIGTERM instead must drain gracefully
 with exit code 0.
 
+Each worker thread's pool stays warm between jobs, so no pool process
+may outlive the server, whether it drains or is killed.
+
 These are subprocess tests; they are marked slow (``--runslow``).
 """
 
@@ -21,6 +24,7 @@ from repro.service.chaos import (
     ServerProcess,
     assert_exactly_once,
     journal_results,
+    pid_alive,
     wait_until,
 )
 from repro.service.jobs import build_job
@@ -163,7 +167,7 @@ class TestWorkerLoss:
         try:
             client = server.client
             # Hunt for a pool worker from the moment of submission —
-            # the pool exists only while the campaign runs.
+            # the worker thread starts its pool on its first pool job.
             victims = []
             hunter = threading.Thread(
                 target=lambda: victims.append(
@@ -186,3 +190,48 @@ class TestWorkerLoss:
             assert server.sigterm() == 0
         finally:
             server.stop()
+
+
+class TestPoolLifetime:
+    def test_sigkilled_server_leaves_no_pool_workers(self, tmp_path):
+        server = ServerProcess(tmp_path / "state", workers=1,
+                               campaign_jobs=2)
+        server.start()
+        try:
+            client = server.client
+            job_id = client.submit("litmus", JOBS[0][1])["job"]["id"]
+            assert client.wait_done(job_id, timeout=120)["state"] == "done"
+            # The warm pool outlives its job.
+            assert len(server.worker_pids()) == 2
+            orphans = server.descendant_pids()
+        finally:
+            server.sigkill()
+        wait_until(
+            lambda: not any(pid_alive(pid) for pid in orphans),
+            timeout=10, message="pool processes to exit with the server",
+        )
+
+    def test_sigterm_keeps_one_pool_then_leaves_no_descendants(
+        self, tmp_path
+    ):
+        server = ServerProcess(tmp_path / "state", workers=1,
+                               campaign_jobs=2)
+        server.start()
+        try:
+            client = server.client
+            seen = []
+            for kind, params in JOBS[:2]:
+                job_id = client.submit(kind, params)["job"]["id"]
+                assert client.wait_done(job_id, timeout=120)["state"] == (
+                    "done"
+                )
+                seen.append(sorted(server.worker_pids()))
+            assert len(seen[0]) == 2 and seen[1] == seen[0]
+            descendants = server.descendant_pids()
+            assert server.sigterm() == 0
+        finally:
+            server.stop()
+        wait_until(
+            lambda: not any(pid_alive(pid) for pid in descendants),
+            timeout=10, message="descendants to exit after the drain",
+        )

@@ -7,12 +7,16 @@ blocks on an event the test owns.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
 import pytest
 
 import repro.service.engine as engine_mod
+from repro.campaign import ParallelExecutor, SerialExecutor, run_campaign
 from repro.service.engine import (
     ACCEPTED,
     COMPLETED,
@@ -20,7 +24,15 @@ from repro.service.engine import (
     DUPLICATE,
     VerificationService,
 )
-from repro.service.jobs import DONE, FAILED, JobError, JobWork, QUEUED
+from repro.service.jobs import (
+    DONE,
+    FAILED,
+    JobError,
+    JobWork,
+    QUEUED,
+    build_job,
+)
+from repro.service.chaos import assert_exactly_once, pid_alive, wait_until
 from repro.service.queue import REJECTED_FULL
 
 
@@ -436,3 +448,113 @@ class TestMemoryBound:
                 if json.loads(line)["type"] == "done"]
         assert len(done) == 5
         assert sorted(d["result"]["i"] for d in done) == list(range(5))
+
+
+def spawned_pids():
+    """Pids of this process's live spawned children."""
+    return {
+        p.pid for p in multiprocessing.active_children()
+        if p.name.startswith("SpawnProcess")
+    }
+
+
+@pytest.fixture
+def pool_pids():
+    """Pids of spawned children started since the test began."""
+    earlier = spawned_pids()
+    return lambda: spawned_pids() - earlier
+
+
+def litmus(seed):
+    return {"test": "fig1_dekker", "runs": 8, "base_seed": seed}
+
+
+def run_job(engine, params, **kwargs):
+    job, _, _ = engine.submit("litmus", params, **kwargs)
+    done = engine.wait(job.id, timeout=120)
+    assert done.state == DONE, done.error
+    return done
+
+
+class TestWarmPool:
+    """Each worker thread keeps one spawn pool across its jobs."""
+
+    def test_consecutive_jobs_share_workers_and_stop_reaps_them(
+        self, tmp_path, pool_pids
+    ):
+        engine = VerificationService(
+            tmp_path / "state", workers=1, campaign_jobs=2
+        )
+        engine.start()
+        try:
+            run_job(engine, litmus(0))
+            first = pool_pids()
+            run_job(engine, litmus(1))
+            assert len(first) == 2
+            assert pool_pids() == first
+        finally:
+            assert engine.stop(timeout=30)
+        assert pool_pids() == set()
+
+    def test_deadline_run_timeout_does_not_carry_over(
+        self, tmp_path, monkeypatch
+    ):
+        seen = []
+        original = ParallelExecutor.map
+
+        def spy(self, specs):
+            seen.append((id(self), self.run_timeout))
+            return original(self, specs)
+
+        monkeypatch.setattr(ParallelExecutor, "map", spy)
+        engine = VerificationService(
+            tmp_path / "state", workers=1, campaign_jobs=2
+        )
+        engine.start()
+        try:
+            run_job(engine, litmus(0), deadline_s=60.0)
+            run_job(engine, litmus(1))
+        finally:
+            engine.stop(timeout=30)
+        (first, capped), (second, uncapped) = seen
+        assert first == second  # one executor served both jobs
+        assert 0 < capped <= 60.0
+        assert uncapped is None
+
+    def test_idle_worker_killed_between_jobs(self, tmp_path, pool_pids):
+        state = tmp_path / "state"
+        engine = VerificationService(
+            state, workers=1, campaign_jobs=2,
+            breaker_threshold=1, breaker_reset=0.0,
+        )
+        engine.start()
+        try:
+            run_job(engine, litmus(0))
+            before = pool_pids()
+            victim = min(before)
+            os.kill(victim, signal.SIGKILL)
+            # The pool learns of the death from the worker's sentinel;
+            # a job submitted in the same instant could finish on the
+            # surviving worker first, so let the kill land while idle.
+            wait_until(lambda: not pid_alive(victim), timeout=10)
+            time.sleep(0.2)
+            job = run_job(engine, litmus(1))
+            assert engine.breaker.opens == 1
+            # The sick pool was dropped, not kept for the next job.
+            assert pool_pids() == set()
+            # The half-open probe runs on a fresh pool and closes it.
+            probe = run_job(engine, litmus(2))
+            assert not probe.degraded
+            assert engine.breaker.state == "closed"
+            after = pool_pids()
+            assert after and not (after & before)
+        finally:
+            engine.stop(timeout=30)
+
+        work = build_job("litmus", litmus(1))
+        serial = run_campaign(work.specs, executor=SerialExecutor())
+        assert job.result == work.collect(serial)
+        assert_exactly_once(state / "runs.jsonl", {
+            spec.digest(): result
+            for spec, result in zip(work.specs, serial.results)
+        })
