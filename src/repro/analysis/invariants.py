@@ -10,8 +10,9 @@ simulator (or a protocol change) is broken, not merely weak:
   commit in program order (coherence's CoWW);
 * **per-location read order** — same-processor reads of one location
   never observe values "going backwards" against the location's write
-  serialization (CoRR), checkable because conditions 2/3 of Section 5.1
-  make commit order the write serialization;
+  serialization (CoRR, and CoWR after a read-modify-write), checkable
+  because conditions 2/3 of Section 5.1 make commit order the write
+  serialization on the cache-coherent machines;
 * **rmw atomicity** — a read-modify-write's read component returns the
   value its own write overwrote in the location's serialization.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional
 
+from repro.axiomatic.relations import reads_from_by_value
 from repro.core.execution import Execution
 from repro.core.operation import Location, MemoryOp, OpKind, Value
 
@@ -78,48 +80,23 @@ def check_per_location_read_order(
 
     The location's serialization is its commit-ordered write sequence;
     each processor's successive reads of the location must return values
-    at non-decreasing positions of that sequence.
+    at non-decreasing positions of that sequence.  A read's position is
+    its source write's, as
+    :func:`~repro.axiomatic.relations.reads_from_by_value` infers it (the
+    initial value precedes every write); thin-air reads are left to
+    :func:`check_no_thin_air`.  A read-modify-write has also observed its
+    own write, so its processor's later reads may not return anything
+    older (CoWR).
     """
-    initial_memory = initial_memory or {}
-    #: per location: [(commit_time, value), ...] in commit order.
-    serialization: Dict[Location, List[tuple]] = defaultdict(list)
-    for op in execution.ops:
-        if op.writes_memory and op.value_written is not None:
-            serialization[op.location].append((op.commit_time, op.value_written))
-
-    def position(op: MemoryOp) -> Optional[int]:
-        """The most charitable serialization index for a read.
-
-        Duplicate written values make the sourcing write ambiguous; pick
-        the *latest* matching write that had committed by the read's
-        commit time (a read can never return a value that did not exist
-        yet).  With this maximal assignment a detected regression is a
-        genuine violation; some real violations may hide behind the
-        ambiguity, which is acceptable for a sanity checker.
-        """
-        best = None
-        for idx, (commit, value) in enumerate(serialization[op.location]):
-            if value != op.value_read:
-                continue
-            if (
-                commit is not None
-                and op.commit_time is not None
-                and commit > op.commit_time
-            ):
-                continue
-            best = idx
-        if best is None and op.value_read == initial_memory.get(op.location, 0):
-            return -1  # the initial value precedes every write
-        return best
-
+    rf, _ = reads_from_by_value(execution.ops, initial_memory)
+    trace_pos = {op: pos for pos, op in enumerate(execution.ops)}
     last_pos: Dict[tuple, int] = {}
     violations = []
     for op in execution.ops:
-        if not op.reads_memory or op.value_read is None:
+        if op not in rf:
             continue
-        pos = position(op)
-        if pos is None:
-            continue  # thin-air, reported by the other check
+        source = rf[op]
+        pos = -1 if source is None else trace_pos[source]
         key = (op.proc, op.location)
         prev = last_pos.get(key)
         if prev is not None and pos < prev:
@@ -127,6 +104,8 @@ def check_per_location_read_order(
                 f"CoRR violation on {op.location!r}: P{op.proc} read "
                 f"{op.value_read} after already observing a newer write"
             )
+        if op.writes_memory:
+            pos = max(pos, trace_pos[op])
         last_pos[key] = max(pos, prev) if prev is not None else pos
     return violations
 

@@ -34,8 +34,10 @@ from repro.axiomatic.model import (
 )
 from repro.axiomatic.relations import (
     Relations,
+    UnexplainedReads,
     acyclic,
     find_cycle,
+    reads_from_by_value,
     relations_from_execution,
 )
 
@@ -48,6 +50,7 @@ __all__ = [
     "CrosscheckReport",
     "NotStraightLine",
     "Relations",
+    "UnexplainedReads",
     "Violation",
     "acyclic",
     "allowed_outcomes",
@@ -59,5 +62,6 @@ __all__ = [
     "is_straightline",
     "model_by_name",
     "model_for_policy",
+    "reads_from_by_value",
     "relations_from_execution",
 ]

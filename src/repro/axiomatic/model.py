@@ -160,21 +160,21 @@ class AxiomaticModel:
     def violation(self, relations: Relations) -> Optional[Violation]:
         """The first violated axiom with its witness cycle, or None.
 
-        Edges are searched in ``relations.ops`` order and the cycle is
-        rotated to start at its earliest op, so the witness does not
-        depend on set iteration order.
+        Edges are searched in ``relations.ops`` order, as pairs of op
+        indices, and the cycle is rotated to start at its earliest op, so
+        the witness does not depend on set iteration order.
         """
-        rank = {op: i for i, op in enumerate(relations.ops)}
+        ops = relations.ops
+        rank = {op: i for i, op in enumerate(ops)}
         for axiom, parts in self.axioms(relations):
             edges = sorted(
-                {edge for _, part in parts for edge in part},
-                key=lambda edge: (rank[edge[0]], rank[edge[1]]),
+                {(rank[a], rank[b]) for _, part in parts for a, b in part}
             )
-            cycle = find_cycle(edges)
-            if cycle is None:
+            found = find_cycle(edges)
+            if found is None:
                 continue
-            start = min(range(len(cycle)), key=lambda i: rank[cycle[i]])
-            cycle = cycle[start:] + cycle[:start]
+            start = found.index(min(found))
+            cycle = [ops[i] for i in found[start:] + found[:start]]
             return Violation(
                 axiom=axiom,
                 cycle=tuple(

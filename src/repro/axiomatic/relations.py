@@ -17,7 +17,8 @@ handful of relations over them —
 ``fenced`` po-pairs (pairs separated by a :class:`~repro.core.
 instructions.Fence`, which every core drains on regardless of policy).
 It can be *derived* from an operational execution
-(:func:`relations_from_execution`) or *chosen* freely by the candidate
+(:func:`relations_from_execution`, which infers ``rf`` with
+:func:`reads_from_by_value`) or *chosen* freely by the candidate
 enumerator (:mod:`repro.axiomatic.candidates`); the axioms in
 :mod:`repro.axiomatic.model` consume either.
 """
@@ -39,7 +40,7 @@ from typing import (
 
 from repro.core.execution import Execution
 from repro.core.instructions import Fence
-from repro.core.operation import Location, MemoryOp
+from repro.core.operation import INITIAL_VALUE, Location, MemoryOp, Value
 from repro.core.program import Program
 
 #: An ordered pair of operations — one edge of a relation.
@@ -224,19 +225,81 @@ def fence_separated_pairs(
     return frozenset(edges)
 
 
+class UnexplainedReads(ValueError):
+    """Reads that returned a value no write, nor the initial state, explains."""
+
+    def __init__(self, reads: Sequence[MemoryOp]) -> None:
+        self.reads = list(reads)
+        super().__init__(
+            "reads return values never written: "
+            + ", ".join(repr(op) for op in self.reads)
+        )
+
+
+def reads_from_by_value(
+    ops: Sequence[MemoryOp],
+    initial_memory: Optional[Mapping[Location, Value]] = None,
+) -> Tuple[Dict[MemoryOp, Optional[MemoryOp]], List[MemoryOp]]:
+    """Infer which write each read of a trace observed, from its value.
+
+    A read's source is the latest same-location write (in trace order)
+    that wrote the value the read returned and had committed no later
+    than the read; when either commit time is unknown, the write must
+    come before the read in trace order.  With no such write the read
+    saw the initial value if it returned that value (``None`` in the
+    map); otherwise it is *unexplained* and left out of the map.
+
+    Duplicate written values make the source ambiguous, and the latest
+    candidate is only a guess; with distinct written values, the
+    convention every catalog test follows, the inference is exact.
+    Returns the map and the unexplained reads.
+    """
+    initial_memory = initial_memory or {}
+    writes: Dict[Location, List[Tuple[int, MemoryOp]]] = {}
+    for pos, op in enumerate(ops):
+        if op.writes_memory and op.value_written is not None:
+            writes.setdefault(op.location, []).append((pos, op))
+    rf: Dict[MemoryOp, Optional[MemoryOp]] = {}
+    unexplained: List[MemoryOp] = []
+    for pos, read in enumerate(ops):
+        if not read.reads_memory:
+            continue
+        source: Optional[MemoryOp] = None
+        for write_pos, write in writes.get(read.location, ()):
+            if write is read or write.value_written != read.value_read:
+                continue
+            if write.commit_time is None or read.commit_time is None:
+                later = write_pos > pos
+            else:
+                later = write.commit_time > read.commit_time
+            if not later:
+                source = write
+        initial = initial_memory.get(read.location, INITIAL_VALUE)
+        if source is not None or read.value_read == initial:
+            rf[read] = source
+        else:
+            unexplained.append(read)
+    return rf, unexplained
+
+
 def relations_from_execution(
     execution: Execution,
     program: Optional[Program] = None,
     drf0: Optional[bool] = None,
     drf0_r: Optional[bool] = None,
+    initial_memory: Optional[Mapping[Location, Value]] = None,
 ) -> Relations:
     """Derive the candidate relations an operational execution witnesses.
 
-    The execution's trace order serves as the serialization: ``rf``
-    binds each read to the last same-location write before it in trace
-    order (the idealized architecture's semantics), ``co`` is the trace
-    order of each location's writes.  ``fenced`` pairs need the program
-    the trace came from; without one they are empty.
+    ``rf`` is inferred by value (:func:`reads_from_by_value`), not by
+    trace order: on hardware a read may commit after a write whose value
+    it never saw.  ``co`` is the trace order of each location's writes,
+    which is their commit order on hardware.  ``po`` is issue order where
+    every op of a processor records one, else trace order.  ``fenced``
+    pairs need the program the trace came from; without one they are
+    empty.  ``initial_memory`` defaults to all-zero memory.
+
+    Raises :class:`UnexplainedReads` when some read has no source.
     """
     real_ops = tuple(op for op in execution.ops if not op.is_hypothetical)
     by_proc: Dict[int, List[MemoryOp]] = {}
@@ -246,15 +309,13 @@ def relations_from_execution(
         if all(op.issue_index is not None for op in ops):
             ops.sort(key=lambda op: op.issue_index)
 
-    rf: Dict[MemoryOp, Optional[MemoryOp]] = {}
+    rf, unexplained = reads_from_by_value(real_ops, initial_memory)
+    if unexplained:
+        raise UnexplainedReads(unexplained)
     co: Dict[Location, List[MemoryOp]] = {}
-    last_write: Dict[Location, MemoryOp] = {}
     for op in real_ops:
-        if op.reads_memory:
-            rf[op] = last_write.get(op.location)
         if op.writes_memory:
             co.setdefault(op.location, []).append(op)
-            last_write[op.location] = op
 
     fenced: FrozenSet[Edge] = frozenset()
     if program is not None:

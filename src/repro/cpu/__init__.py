@@ -9,7 +9,7 @@ from repro.cpu.core import (
 )
 from repro.cpu.counter import OutstandingCounter
 from repro.cpu.pipelined import PipelinedCore
-from repro.cpu.processor import Processor, SimpleCore
+from repro.cpu.processor import SimpleCore
 from repro.cpu.write_buffer import WriteBufferPort, port_endpoint
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "MemoryPort",
     "OutstandingCounter",
     "PipelinedCore",
-    "Processor",
     "ProcessorCore",
     "SimpleCore",
     "WriteBufferPort",

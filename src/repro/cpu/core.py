@@ -100,8 +100,7 @@ class ProcessorCore(Component):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # Register only classes that declare their own core name, so
-        # ad-hoc subclasses (test doubles, the deprecation shim) never
-        # shadow a real core.
+        # ad-hoc subclasses (test doubles) never shadow a real core.
         if "core_name" in cls.__dict__:
             _CORE_REGISTRY[cls.core_name] = cls
 

@@ -17,7 +17,6 @@ and optionally cached, with identical output either way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -100,11 +99,6 @@ class LitmusResult:
         return "\n".join(lines)
 
 
-#: Legacy positional order of :meth:`LitmusRunner.run`'s campaign
-#: options, accepted (with a warning) by the deprecation shim.
-_RUN_LEGACY_POSITIONALS = ("runs", "base_seed", "max_cycles")
-
-
 class LitmusRunner:
     """Runs litmus campaigns, sharing one SC oracle across tests."""
 
@@ -121,7 +115,7 @@ class LitmusRunner:
         test: LitmusTest,
         policy_factory,
         config: MachineConfig,
-        *legacy_args,
+        *,
         runs: int = 50,
         base_seed: int = 12345,
         max_cycles: int = 1_000_000,
@@ -162,23 +156,6 @@ class LitmusRunner:
         :class:`~repro.obs.ProgressReporter`) prints a live heartbeat
         while the campaign runs.
         """
-        if legacy_args:
-            warnings.warn(
-                "passing LitmusRunner.run options positionally is "
-                "deprecated; pass runs/base_seed/max_cycles as keywords",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(legacy_args) > len(_RUN_LEGACY_POSITIONALS):
-                raise TypeError(
-                    f"LitmusRunner.run takes at most "
-                    f"{3 + len(_RUN_LEGACY_POSITIONALS)} positional arguments"
-                )
-            overrides = dict(zip(_RUN_LEGACY_POSITIONALS, legacy_args))
-            runs = overrides.get("runs", runs)
-            base_seed = overrides.get("base_seed", base_seed)
-            max_cycles = overrides.get("max_cycles", max_cycles)
-
         from repro.api import campaign as run_campaign
 
         policy_spec = PolicySpec.of(policy_factory)

@@ -93,6 +93,17 @@ class TestReadOrder:
         )
         assert check_per_location_read_order(trace) == []
 
+    def test_read_older_than_own_rmw_write_flagged(self):
+        # After its RMW, P1 has observed its own write of 3 and may not
+        # read the older 2 again.
+        trace = Execution(
+            ops=[op(OpKind.WRITE, "l", 0, pos=0, written=2),
+                 op(OpKind.SYNC_RMW, "l", 1, pos=0, read=2, written=3),
+                 op(OpKind.READ, "l", 1, pos=1, read=2)]
+        )
+        violations = check_per_location_read_order(trace)
+        assert len(violations) == 1 and "P1 read 2" in violations[0]
+
 
 class TestRMWAtomicity:
     def test_chained_rmws_clean(self):

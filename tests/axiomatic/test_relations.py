@@ -3,14 +3,21 @@
 import pytest
 
 from repro.axiomatic import (
+    UnexplainedReads,
     acyclic,
     enumerate_candidates,
     find_cycle,
     model_by_name,
+    reads_from_by_value,
     relations_from_execution,
 )
+from repro.core.execution import Execution
+from repro.core.operation import MemoryOp, OpKind
 from repro.litmus.catalog import fig1_dekker, message_passing
 from repro.litmus.runner import LitmusRunner
+from repro.memsys.config import NET_CACHE
+from repro.memsys.system import run_program
+from repro.models.policies import RelaxedPolicy
 from repro.sc.interleaving import enumerate_executions
 
 
@@ -88,7 +95,7 @@ class TestCandidateRelations:
 
 
 class TestRelationsFromExecution:
-    """Every idealized SC execution must satisfy the SC axioms."""
+    """Relations derived from idealized and hardware executions."""
 
     def test_sc_executions_pass_sc_axioms(self):
         test = message_passing()
@@ -104,3 +111,64 @@ class TestRelationsFromExecution:
             if checked >= 200:
                 break
         assert checked > 0
+
+    @pytest.mark.parametrize(
+        "test", [fig1_dekker(warm=True), message_passing()], ids=lambda t: t.name
+    )
+    def test_hardware_reads_map_to_the_write_they_returned(self, test):
+        """On hardware a read may commit after a write it never saw, so
+        rf must come from values, not from trace order."""
+        program = test.executable_program()
+        for seed in range(40):
+            run = run_program(program, RelaxedPolicy(), NET_CACHE, seed=seed)
+            if not run.completed:
+                continue
+            rf = relations_from_execution(run.execution).rf
+            for read, source in rf.items():
+                if source is None:
+                    assert read.value_read == 0, (seed, read)
+                else:
+                    assert source.value_written == read.value_read, (
+                        seed, read, source,
+                    )
+
+
+def _op(kind, loc, proc, read=None, written=None, commit=None):
+    op = MemoryOp(
+        proc=proc, kind=kind, location=loc, value_read=read,
+        value_written=written,
+    )
+    op.commit_time = commit
+    return op
+
+
+class TestReadsFromByValue:
+    def test_latest_write_committed_by_the_read(self):
+        w1 = _op(OpKind.WRITE, "x", 0, written=1, commit=1)
+        w1_again = _op(OpKind.WRITE, "x", 1, written=1, commit=2)
+        read = _op(OpKind.READ, "x", 2, read=1, commit=3)
+        w1_late = _op(OpKind.WRITE, "x", 0, written=1, commit=4)
+        rf, unexplained = reads_from_by_value([w1, w1_again, read, w1_late])
+        assert rf == {read: w1_again} and unexplained == []
+
+    def test_without_commit_times_trace_order_decides(self):
+        read = _op(OpKind.READ, "x", 1, read=1)
+        write = _op(OpKind.WRITE, "x", 0, written=1)
+        rf, unexplained = reads_from_by_value([read, write])
+        assert rf == {} and unexplained == [read]
+
+    def test_initial_value_read(self):
+        read = _op(OpKind.READ, "x", 0, read=7, commit=1)
+        assert reads_from_by_value([read], {"x": 7}) == ({read: None}, [])
+
+    def test_rmw_never_reads_from_itself(self):
+        write = _op(OpKind.WRITE, "l", 0, written=1, commit=1)
+        rmw = _op(OpKind.SYNC_RMW, "l", 1, read=1, written=1, commit=2)
+        rf, _ = reads_from_by_value([write, rmw])
+        assert rf == {rmw: write}
+
+    def test_relations_refuse_an_unexplained_read(self):
+        read = _op(OpKind.READ, "x", 0, read=9, commit=1)
+        with pytest.raises(UnexplainedReads) as info:
+            relations_from_execution(Execution(ops=[read]))
+        assert info.value.reads == [read]

@@ -2,10 +2,13 @@
 
 from typing import List
 
+import pytest
+
+import repro.cpu
 from repro.core.operation import OpKind
 from repro.core.program import ThreadBuilder
 from repro.cpu.access import MemoryAccess
-from repro.cpu.processor import Processor, SimpleCore
+from repro.cpu.processor import SimpleCore
 from repro.models.base import OrderingPolicy
 from repro.models.policies import RelaxedPolicy, SCPolicy
 from repro.sim.engine import Simulator
@@ -165,20 +168,8 @@ class TestPolicyInteraction:
 
 
 class TestDeprecatedAlias:
-    def test_processor_warns_and_behaves_like_simple_core(self):
-        import pytest
-
-        sim = Simulator()
-        stats = Stats()
-        port = ScriptedPort(sim)
-        thread = ThreadBuilder("P0").store("x", 1).load("r", "x").build()
-        with pytest.warns(DeprecationWarning, match="SimpleCore"):
-            processor = Processor(
-                sim, 0, thread, RelaxedPolicy(), port, stats
-            )
-        assert isinstance(processor, SimpleCore)
-        assert processor.core_name == "simple"
-        processor.start()
-        sim.run()
-        assert processor.halted
-        assert processor.regs.read("r") == 1
+    def test_processor_alias_is_gone(self):
+        with pytest.raises(AttributeError):
+            repro.cpu.Processor
+        with pytest.raises(AttributeError):
+            repro.cpu.processor.Processor

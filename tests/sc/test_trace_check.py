@@ -4,8 +4,13 @@ import pytest
 
 from repro.core.execution import Execution
 from repro.core.operation import MemoryOp, OpKind
-from repro.litmus.catalog import fig1_dekker, message_passing
-from repro.memsys.config import NET_CACHE, NET_NOCACHE
+from repro.litmus.catalog import catalog_by_name, fig1_dekker, message_passing
+from repro.memsys.config import (
+    BUS_CACHE,
+    BUS_CACHE_SNOOP,
+    NET_CACHE,
+    NET_CACHE_VC,
+)
 from repro.memsys.system import run_program
 from repro.models.policies import Def2Policy, RelaxedPolicy, SCPolicy
 from repro.sc.trace_check import check_trace_sc
@@ -100,6 +105,22 @@ class TestAgainstHardwareRuns:
             assert run.completed
             result = check_trace_sc(run.execution, dict(program.initial_memory))
             assert result.is_sc, result.describe()
+
+    def test_sc_policy_catalog_traces_pass_on_coherent_machines(self):
+        """Commit order is the write serialization on the cache-coherent
+        machines, so every SC-policy trace there must be explainable."""
+        for test in catalog_by_name().values():
+            program = test.executable_program()
+            for config in (BUS_CACHE, NET_CACHE, NET_CACHE_VC, BUS_CACHE_SNOOP):
+                for seed in range(4):
+                    run = run_program(program, SCPolicy(), config, seed=seed)
+                    assert run.completed, (test.name, config.name, seed)
+                    result = check_trace_sc(
+                        run.execution, dict(program.initial_memory)
+                    )
+                    assert result.is_sc, (
+                        test.name, config.name, seed, result.describe(),
+                    )
 
     def test_relaxed_violations_fail(self):
         """Where the result-set oracle says non-SC, the trace checker

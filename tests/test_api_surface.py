@@ -303,17 +303,14 @@ class TestModelCentricSurface:
 
 
 class TestDeprecationShims:
-    def test_models_package_class_import_warns_and_works(self):
+    def test_models_package_class_export_is_gone(self):
         # importlib, not ``import repro.models``: the package attribute
         # ``repro.models`` names the facade function (like campaign/
         # explore); the module itself lives in sys.modules.
         models_pkg = importlib.import_module("repro.models")
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cls = models_pkg.SCPolicy
-        from repro.models.policies import SCPolicy
-
-        assert cls is SCPolicy
+        with pytest.raises(AttributeError):
+            models_pkg.SCPolicy
 
     def test_models_package_registry_path_stays_silent(self):
         models_pkg = importlib.import_module("repro.models")
@@ -323,11 +320,9 @@ class TestDeprecationShims:
             models_pkg.policy_by_name("TSO")
             models_pkg.policy_names()
 
-    def test_scverifier_positional_max_states_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            verifier = SCVerifier(500_000)
-        program = fig1_dekker().program
-        assert verifier.sc_result_set(program)
+    def test_scverifier_positional_max_states_raises(self):
+        with pytest.raises(TypeError):
+            SCVerifier(500_000)
 
     def test_scverifier_keyword_stays_silent(self):
         with warnings.catch_warnings():
@@ -335,20 +330,15 @@ class TestDeprecationShims:
             SCVerifier(max_states=500_000)
             SCVerifier()
 
-    def test_explore_program_positional_options_warn_and_work(self):
+    def test_explore_program_positional_options_raise(self):
         program = fig1_dekker().executable_program()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            report = api.explore_program(program, RelaxedPolicy, 1)
-        assert report.max_delays == 1
-        assert report.exhausted
+        with pytest.raises(TypeError):
+            api.explore_program(program, RelaxedPolicy, 1)
 
-    def test_litmus_runner_positional_options_warn_and_work(self):
+    def test_litmus_runner_positional_options_raise(self):
         runner = LitmusRunner()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            result = runner.run(
-                fig1_dekker(), RelaxedPolicy, NET_NOCACHE, 5, 99
-            )
-        assert result.runs == 5
+        with pytest.raises(TypeError):
+            runner.run(fig1_dekker(), RelaxedPolicy, NET_NOCACHE, 5, 99)
 
     def test_litmus_runner_keyword_call_stays_silent(self):
         runner = LitmusRunner()
