@@ -16,7 +16,13 @@ Each call compiles the program once (:func:`_compile`).  Operations get
 integer indices; reads-from, coherence and values are int lists over
 them.  Every write's value, and every final register, becomes a function
 of the reads it actually depends on: the thread is replayed once through
-the instructions' own semantics on symbolic register values.
+the instructions' own semantics on symbolic register values.  The
+compiled program's :class:`~repro.axiomatic.relations.Frame` (ops,
+program order, fenced pairs, each model's memoized ppo) is shared by
+every candidate of the call; a candidate's
+:class:`~repro.axiomatic.relations.Relations` adds only its rf index
+list and one co index order per location, and its observable outcome is
+built only when asked for.
 
 Values are resolved per reads-from choice in one pass, in rf/data-
 dependence topological order.  A choice whose dependences form a
@@ -45,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.execution import Observable
@@ -59,10 +65,10 @@ from repro.core.instructions import (
 from repro.core.operation import Location, MemoryOp
 from repro.core.program import Program
 from repro.axiomatic.relations import (
+    Frame,
     Relations,
     fence_separated_pairs,
     find_cycle,
-    program_order_pairs,
 )
 
 #: Default ceiling on the raw candidate space; litmus-sized programs
@@ -88,12 +94,26 @@ def is_straightline(program: Program) -> bool:
     )
 
 
-@dataclass
 class Candidate:
-    """One candidate execution with its resolved observable outcome."""
+    """One candidate execution with its resolved observable outcome.
 
-    relations: Relations
-    observable: Observable
+    The observable is built on first use, so a caller that judges
+    candidates pays for it only on the ones it keeps.
+    """
+
+    def __init__(
+        self,
+        compiled: "_Compiled",
+        relations: Relations,
+        values: Tuple[List[int], List[int]],
+    ) -> None:
+        self.relations = relations
+        self._compiled = compiled
+        self._values = values
+
+    @cached_property
+    def observable(self) -> Observable:
+        return self._compiled.observable(self.relations, self._values)
 
 
 # -- symbolic replay ---------------------------------------------------------
@@ -183,7 +203,7 @@ class _Compiled:
 
     def __init__(self, program: Program):
         ops: List[MemoryOp] = []
-        ops_by_proc: Dict[int, List[MemoryOp]] = {}
+        chains: Dict[int, List[int]] = {}
         #: Per op: the value its write stores (``None`` if it does not).
         self.stores: List[Optional[CompiledValue]] = []
         #: Per thread: its final registers.
@@ -204,7 +224,7 @@ class _Compiled:
                         issue_index=steps,
                     )
                     ops.append(op)
-                    ops_by_proc.setdefault(proc, []).append(op)
+                    chains.setdefault(proc, []).append(index)
                     old = 0
                     if op.reads_memory:
                         old = _Symbolic(
@@ -221,12 +241,13 @@ class _Compiled:
                 steps += 1
             self.registers.append(dict(regs))
 
-        self.ops: Tuple[MemoryOp, ...] = tuple(ops)
-        self.po = program_order_pairs(ops_by_proc)
-        self.fenced = fence_separated_pairs(program, ops_by_proc)
-        self.reads: Tuple[int, ...] = tuple(
-            i for i, op in enumerate(ops) if op.reads_memory
+        self.frame = Frame(
+            ops,
+            chains.values(),
+            fence_separated_pairs(program, ops, chains.values()),
         )
+        self.ops: Tuple[MemoryOp, ...] = self.frame.ops
+        self.reads: Tuple[int, ...] = self.frame.reads
         self.rmws = frozenset(
             i for i in self.reads if ops[i].writes_memory
         )
@@ -352,16 +373,12 @@ class _Compiled:
                     return False
         return True
 
-    def candidate(
-        self,
-        rf: Sequence[Optional[int]],
-        co: Dict[Location, Tuple[int, ...]],
-        values: Tuple[List[int], List[int]],
-        drf0: Optional[bool],
-        drf0_r: Optional[bool],
-    ) -> Candidate:
-        ops = self.ops
+    def observable(
+        self, relations: Relations, values: Tuple[List[int], List[int]]
+    ) -> Observable:
+        """The final registers and memory of a candidate with ``values``."""
         read_values, write_values = values
+        co = relations.co_index
         registers = [
             {reg: _evaluate(value, read_values) for reg, value in regs.items()}
             for regs in self.registers
@@ -370,24 +387,7 @@ class _Compiled:
             loc: write_values[co[loc][-1]] if loc in co else initial
             for loc, initial in self.initial_memory
         }
-        return Candidate(
-            relations=Relations(
-                ops=ops,
-                po=self.po,
-                fenced=self.fenced,
-                rf={
-                    ops[r]: None if rf[r] is None else ops[rf[r]]
-                    for r in self.reads
-                },
-                co={
-                    loc: tuple(ops[w] for w in order)
-                    for loc, order in co.items()
-                },
-                drf0=drf0,
-                drf0_r=drf0_r,
-            ),
-            observable=Observable.create(registers, memory),
-        )
+        return Observable.create(registers, memory)
 
     def coherent_choices(
         self, location: Location
@@ -483,11 +483,14 @@ def enumerate_candidates(
         values = compiled.resolve(rf)
         if values is None:
             continue
+        rf_index = tuple(rf)
         for co_pick in itertools.product(*co_orders):
             if all(compiled.rmw_atomic(rf, order) for order in co_pick):
-                yield compiled.candidate(
-                    rf, dict(zip(locations, co_pick)), values, drf0, drf0_r
+                relations = Relations(
+                    compiled.frame, rf_index, dict(zip(locations, co_pick)),
+                    drf0, drf0_r,
                 )
+                yield Candidate(compiled, relations, values)
 
 
 def coherent_candidates(
@@ -520,6 +523,8 @@ def coherent_candidates(
         values = compiled.resolve(rf)
         if values is None:
             continue
+        rf_index = tuple(rf)
         for orders in itertools.product(*(orders for _, orders in picks)):
             co = {loc: order for loc, order in zip(locations, orders) if order}
-            yield compiled.candidate(rf, co, values, drf0, drf0_r)
+            relations = Relations(compiled.frame, rf_index, co, drf0, drf0_r)
+            yield Candidate(compiled, relations, values)

@@ -26,9 +26,13 @@ policy.  The strong models keep progressively more:
   neither do we);
 * ``RELAXED`` keeps only fenced pairs.
 
-A candidate a model forbids explains itself:
+Both axioms are judged on op indices and covering edges: the frame's
+memoized ppo cover (per program and rule), each location's co chain, and
+one fr edge per read, whose transitive closures are those of the full
+relations.  A candidate a model forbids explains itself:
 :meth:`AxiomaticModel.violation` names the violated axiom together with
-a witness cycle, such as ``po;fr;po;fr`` for SB under SC.
+a witness cycle, such as ``po;fr;po;fr`` for SB under SC, rendered from
+the full relations.
 
 Each operational policy maps to the axiomatic model that *soundly*
 describes it via :func:`model_for_policy`; the cross-checker
@@ -39,11 +43,25 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.operation import MemoryOp
-from repro.axiomatic.relations import Edge, Relations, acyclic, find_cycle
+from repro.axiomatic.relations import (
+    Edge,
+    Frame,
+    IndexEdge,
+    Relations,
+    find_cycle,
+)
 
 #: ppo predicate: whether the po-pair ``(a, b)`` is preserved.  The
 #: third argument says whether the pair is fence-separated.
@@ -80,6 +98,15 @@ def _keep_fenced(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
 #: An axiom's relations, each named for witness rendering.
 LabelledRelations = Tuple[Tuple[str, FrozenSet[Edge]], ...]
 
+#: Each axiom with the relations whose union it says is acyclic, as
+#: (witness label, relation name) pairs; ``ppo`` is the model's own.
+_AXIOMS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "sc-per-location": (
+        ("po", "po_loc"), ("rf", "rf"), ("co", "co"), ("fr", "fr"),
+    ),
+    "ghb": (("po", "ppo"), ("rf", "rfe"), ("co", "co"), ("fr", "fr")),
+}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -105,6 +132,46 @@ class Violation:
         return f"{self.axiom} cycle {self.labels}: " + " ".join(steps)
 
 
+class _Ppo:
+    """One ppo rule over one frame: covering edges, and the full pairs."""
+
+    def __init__(self, frame: Frame, rule: PpoRule) -> None:
+        self.rule = rule
+        self.cover = frame.cover(lambda a, b: self.keeps(frame, a, b))
+        self._pairs: Optional[FrozenSet[IndexEdge]] = None
+
+    def keeps(self, frame: Frame, a: int, b: int) -> bool:
+        """Whether the po-pair of ops ``a``, ``b`` is preserved."""
+        return self.rule(frame.ops[a], frame.ops[b], (a, b) in frame.fenced)
+
+    def pairs(self, frame: Frame) -> FrozenSet[IndexEdge]:
+        if self._pairs is None:
+            self._pairs = frozenset(
+                (a, b) for a, b in frame.po if self.keeps(frame, a, b)
+            )
+        return self._pairs
+
+
+def _acyclic(count: int, *relations: Sequence[IndexEdge]) -> bool:
+    """Whether the union of index-edge ``relations`` over ``count`` ops
+    has no cycle (Kahn's algorithm: peel ops with no predecessor)."""
+    successors: List[List[int]] = [[] for _ in range(count)]
+    predecessors = [0] * count
+    for edges in relations:
+        for a, b in edges:
+            successors[a].append(b)
+            predecessors[b] += 1
+    ready = [i for i in range(count) if not predecessors[i]]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for b in successors[ready.pop()]:
+            predecessors[b] -= 1
+            if not predecessors[b]:
+                ready.append(b)
+    return peeled == count
+
+
 @dataclass(frozen=True)
 class AxiomaticModel:
     """One memory model as a ppo rule (plus the two shared axioms).
@@ -119,14 +186,37 @@ class AxiomaticModel:
     ppo_rule: PpoRule
     condition: Optional[str] = None
 
+    def _ppo(self, relations: Relations) -> _Ppo:
+        """This model's ppo over the candidate's frame, memoized there.
+
+        The memo is keyed by the rule in force, so models that share a
+        rule (and a conditional model whose program obeys its condition,
+        which keeps all of po) share one entry.
+        """
+        rule = self.ppo_rule
+        if self.condition is not None and getattr(relations, self.condition):
+            rule = _keep_all
+        frame = relations.frame
+        ppo = frame.ppo.get(rule)
+        if ppo is None:
+            ppo = frame.ppo[rule] = _Ppo(frame, rule)
+        return ppo
+
     def ppo(self, relations: Relations) -> FrozenSet[Edge]:
         """The preserved program-order pairs of a candidate."""
-        if self.condition is not None and getattr(relations, self.condition):
-            return relations.po
-        fenced = relations.fenced
-        rule = self.ppo_rule
+        ops = relations.ops
         return frozenset(
-            (a, b) for a, b in relations.po if rule(a, b, (a, b) in fenced)
+            (ops[a], ops[b])
+            for a, b in self._ppo(relations).pairs(relations.frame)
+        )
+
+    @staticmethod
+    def _parts(axiom: str, edges, ppo):
+        """``axiom``'s labelled relations: ``edges`` maps a relation name
+        to its pair set, and ``ppo()`` gives the model's ppo pairs."""
+        return tuple(
+            (label, ppo() if relation == "ppo" else edges(relation))
+            for label, relation in _AXIOMS[axiom]
         )
 
     def axioms(
@@ -134,63 +224,69 @@ class AxiomaticModel:
     ) -> Iterator[Tuple[str, LabelledRelations]]:
         """Each axiom's name and the relations whose union must be acyclic.
 
-        Lazy, so a later axiom's relations are built only once the
-        earlier ones hold.
+        The full (transitive) relations over ops, lazily, so a later
+        axiom's relations are built only once the earlier ones are asked
+        for.  Judging does not use them: see :meth:`violated_axiom`.
         """
-        yield "sc-per-location", (
-            ("po", relations.po_loc_edges()),
-            ("rf", relations.rf_edges()),
-            ("co", relations.co_edges()),
-            ("fr", relations.fr_edges()),
-        )
-        yield "ghb", (
-            ("po", self.ppo(relations)),
-            ("rf", relations.rfe_edges()),
-            ("co", relations.co_edges()),
-            ("fr", relations.fr_edges()),
-        )
+        for axiom in _AXIOMS:
+            yield axiom, self._parts(
+                axiom, relations.edges, lambda: self.ppo(relations)
+            )
 
     def violated_axiom(self, relations: Relations) -> Optional[str]:
-        """The name of the first violated axiom, or None if consistent."""
-        for axiom, parts in self.axioms(relations):
-            if not acyclic(chain.from_iterable(edges for _, edges in parts)):
-                return axiom
+        """The name of the first violated axiom, or None if consistent.
+
+        Judged on op indices and covering edges: the frame's per-location
+        po chains and this model's memoized ppo cover, rf (rfe for
+        ``ghb``), each location's co chain, and each read's one fr edge
+        (:meth:`Relations.covering`).  Their closures are those of the
+        full relations, so they close exactly the same cycles.
+        """
+        count = len(relations.frame.ops)
+        rf, rfe, co, fr = relations.covering()
+        if not _acyclic(count, relations.frame.po_loc_cover, rf, co, fr):
+            return "sc-per-location"
+        if not _acyclic(count, self._ppo(relations).cover, rfe, co, fr):
+            return "ghb"
         return None
 
     def violation(self, relations: Relations) -> Optional[Violation]:
         """The first violated axiom with its witness cycle, or None.
 
-        Edges are searched in ``relations.ops`` order, as pairs of op
-        indices, and the cycle is rotated to start at its earliest op, so
-        the witness does not depend on set iteration order.
+        :meth:`violated_axiom` decides on covering edges.  Only once it
+        finds a cycle is the witness rendered, from the axiom's full
+        (transitive) relations: their edges are searched in
+        ``relations.ops`` order, as pairs of op indices, and the cycle is
+        rotated to start at its earliest op, so the witness does not
+        depend on set iteration order or on the covering edges.
         """
+        axiom = self.violated_axiom(relations)
+        if axiom is None:
+            return None
+        parts = self._parts(
+            axiom,
+            relations.index_edges,
+            lambda: self._ppo(relations).pairs(relations.frame),
+        )
+        found = find_cycle(sorted({edge for _, part in parts for edge in part}))
+        start = found.index(min(found))
+        cycle = found[start:] + found[:start]
         ops = relations.ops
-        rank = {op: i for i, op in enumerate(ops)}
-        for axiom, parts in self.axioms(relations):
-            edges = sorted(
-                {(rank[a], rank[b]) for _, part in parts for a, b in part}
-            )
-            found = find_cycle(edges)
-            if found is None:
-                continue
-            start = found.index(min(found))
-            cycle = [ops[i] for i in found[start:] + found[:start]]
-            return Violation(
-                axiom=axiom,
-                cycle=tuple(
-                    (src, _relation_of((src, dst), parts), dst)
-                    for src, dst in zip(cycle, cycle[1:] + cycle[:1])
-                ),
-            )
-        return None
+        return Violation(
+            axiom=axiom,
+            cycle=tuple(
+                (
+                    ops[src],
+                    next(name for name, part in parts if (src, dst) in part),
+                    ops[dst],
+                )
+                for src, dst in zip(cycle, cycle[1:] + cycle[:1])
+            ),
+        )
 
     def allows(self, relations: Relations) -> bool:
         """Whether the candidate is consistent under this model."""
         return self.violated_axiom(relations) is None
-
-
-def _relation_of(edge: Edge, parts: LabelledRelations) -> str:
-    return next(name for name, edges in parts if edge in edges)
 
 
 _MODELS: Tuple[AxiomaticModel, ...] = (

@@ -21,15 +21,28 @@ It can be *derived* from an operational execution
 :func:`reads_from_by_value`) or *chosen* freely by the candidate
 enumerator (:mod:`repro.axiomatic.candidates`); the axioms in
 :mod:`repro.axiomatic.model` consume either.
+
+Relations live on op indices.  What does not depend on the candidate —
+the ops, each processor's program order, the fenced pairs and each
+model's preserved program order — sits in one :class:`Frame`, built
+once per program (or per trace) and shared by all of its candidates.
+A candidate adds only its reads-from (one source index per read) and
+its coherence (one index order per location).  The axioms are judged
+on covering edges: each location's co chain, and one fr edge per read.
+The ``MemoryOp`` pair sets (``rf_edges()`` and the like) are views
+derived on demand, for callers and for witness cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -87,87 +100,288 @@ def acyclic(edges: Iterable[Edge]) -> bool:
     return find_cycle(edges) is None
 
 
+#: An ordered pair of op indices (positions in ``Frame.ops``).
+IndexEdge = Tuple[int, int]
+
+
+class Frame:
+    """What every candidate execution of one program shares.
+
+    Built once per compiled program (:mod:`repro.axiomatic.candidates`)
+    or once per trace (:func:`relations_from_execution`), and shared by
+    every :class:`Relations` over it.  Operations are named by their
+    index in ``ops``; ``chains`` lists each processor's op indices in
+    program order, and ``fenced`` holds the fence-separated po-pairs as
+    index pairs.
+
+    Judging reads ``po_loc_cover`` and the ``ppo`` memo, which each
+    model fills with its preserved program order the first time it
+    judges a candidate of this frame (see
+    :meth:`repro.axiomatic.model.AxiomaticModel.allows`).  The
+    transitive ``po`` and ``po_loc`` pair sets are built on first use,
+    by witnesses and the ``MemoryOp`` views.
+    """
+
+    def __init__(
+        self,
+        ops: Sequence[MemoryOp],
+        chains: Iterable[Sequence[int]],
+        fenced: FrozenSet[IndexEdge] = frozenset(),
+    ) -> None:
+        self.ops: Tuple[MemoryOp, ...] = tuple(ops)
+        self.chains: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(chain) for chain in chains
+        )
+        self.fenced = fenced
+        self.procs: Tuple[int, ...] = tuple(op.proc for op in self.ops)
+        self.locations: Tuple[Location, ...] = tuple(
+            op.location for op in self.ops
+        )
+        self.reads: Tuple[int, ...] = tuple(
+            i for i, op in enumerate(self.ops) if op.reads_memory
+        )
+        #: ppo rule -> that rule's preserved order over this frame.
+        self.ppo: Dict[object, object] = {}
+
+    @cached_property
+    def rank(self) -> Dict[MemoryOp, int]:
+        """Op -> its index."""
+        return {op: i for i, op in enumerate(self.ops)}
+
+    @cached_property
+    def po(self) -> FrozenSet[IndexEdge]:
+        """All transitive program-order pairs."""
+        return frozenset(
+            (earlier, later)
+            for chain in self.chains
+            for k, earlier in enumerate(chain)
+            for later in chain[k + 1:]
+        )
+
+    @cached_property
+    def po_loc(self) -> FrozenSet[IndexEdge]:
+        """All transitive program-order pairs over one location."""
+        locations = self.locations
+        return frozenset(
+            (a, b) for a, b in self.po if locations[a] == locations[b]
+        )
+
+    @cached_property
+    def po_loc_cover(self) -> Tuple[IndexEdge, ...]:
+        """Each op to the next op of its processor on its location."""
+        edges: List[IndexEdge] = []
+        for chain in self.chains:
+            last: Dict[Location, int] = {}
+            for i in chain:
+                location = self.locations[i]
+                if location in last:
+                    edges.append((last[location], i))
+                last[location] = i
+        return tuple(edges)
+
+    def cover(self, keep: Callable[[int, int], bool]) -> Tuple[IndexEdge, ...]:
+        """Covering edges of the po-pairs ``keep`` accepts.
+
+        Their transitive closure is that of the accepted pairs, so they
+        close exactly the same cycles.  ``keep`` is offered a pair only
+        when the edges kept so far do not already imply it; for full po
+        that is just each op's successor.
+        """
+        edges: List[IndexEdge] = []
+        for chain in self.chains:
+            #: Per chain position: the later positions it reaches.
+            reach = [0] * len(chain)
+            for k in range(len(chain) - 1, -1, -1):
+                earlier = chain[k]
+                reached = 0
+                for m in range(k + 1, len(chain)):
+                    if not reached >> m & 1 and keep(earlier, chain[m]):
+                        edges.append((earlier, chain[m]))
+                        reached |= 1 << m | reach[m]
+                reach[k] = reached
+        return tuple(edges)
+
+
 @dataclass
 class Relations:
     """A candidate execution: operations plus the relations over them.
 
-    ``rf`` maps every read(-component) op to the write it reads from, or
-    ``None`` for the initial memory value.  ``co`` gives, per location,
-    the coherence order of that location's writes (initial write
-    implicit, coherence-first).  ``po`` and ``fenced`` are *transitive*
-    pair sets — more edges than the covering relation, identical cycles.
+    Stored on op indices.  ``frame`` is the program's shared
+    :class:`Frame` (ops, po, fenced pairs, ppo memo).  ``rf_index`` gives
+    per op the index of the write it reads from, or ``None`` for the
+    initial memory value (``None`` too for ops that do not read).
+    ``co_index`` gives, per location, the coherence order of that
+    location's writes as indices (initial write implicit,
+    coherence-first).
+
+    The judge reads :meth:`covering`: rf, co as each location's chain,
+    and fr as each read's edge to the first write after its source.
+    The ``MemoryOp``-keyed ``rf``, ``co``, ``po``, ``fenced`` and
+    ``*_edges()`` are views over the full (transitive) pair sets
+    (:meth:`index_edges`), built on first use: more edges than the
+    covering ones, identical cycles.
 
     ``drf0``/``drf0_r`` record whether the originating *program* obeys
     DRF0 / DRF0-R (``None`` when not computed); the conditional
     Definition-2 models consult them.
     """
 
-    ops: Tuple[MemoryOp, ...]
-    po: FrozenSet[Edge]
-    fenced: FrozenSet[Edge]
-    rf: Mapping[MemoryOp, Optional[MemoryOp]]
-    co: Mapping[Location, Tuple[MemoryOp, ...]]
+    frame: Frame
+    rf_index: Sequence[Optional[int]]
+    co_index: Mapping[Location, Tuple[int, ...]]
     drf0: Optional[bool] = None
     drf0_r: Optional[bool] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    # -- derived edge sets ------------------------------------------------
+    @property
+    def ops(self) -> Tuple[MemoryOp, ...]:
+        return self.frame.ops
+
+    # -- index relations ----------------------------------------------------
+    def covering(
+        self,
+    ) -> Tuple[
+        List[IndexEdge], List[IndexEdge], List[IndexEdge], List[IndexEdge]
+    ]:
+        """``(rf, rfe, co, fr)`` as index edges, co and fr covering only.
+
+        co is each location's chain of successive writes.  fr takes each
+        read to the first write coherence-after its source (or the
+        location's first write for an initial-value read), skipping the
+        read itself when it is an RMW; later writes follow on the co
+        chain.  Both close the same cycles as the transitive sets.
+        """
+        cached = self._cache.get("covering")
+        if cached is not None:
+            return cached
+        frame = self.frame
+        procs, locations = frame.procs, frame.locations
+        rf_index, co_index = self.rf_index, self.co_index
+        rf: List[IndexEdge] = []
+        rfe: List[IndexEdge] = []
+        co: List[IndexEdge] = []
+        fr: List[IndexEdge] = []
+        for order in co_index.values():
+            co.extend(zip(order, order[1:]))
+        for read in frame.reads:
+            source = rf_index[read]
+            order = co_index.get(locations[read], ())
+            if source is None:
+                after = 0
+            else:
+                rf.append((source, read))
+                if procs[source] != procs[read]:
+                    rfe.append((source, read))
+                after = order.index(source) + 1
+            if after < len(order) and order[after] == read:
+                after += 1
+            if after < len(order):
+                fr.append((read, order[after]))
+        cached = self._cache["covering"] = (rf, rfe, co, fr)
+        return cached
+
+    def index_edges(self, name: str) -> FrozenSet[IndexEdge]:
+        """The full relation ``name`` as index pairs.
+
+        ``name`` is one of ``po``, ``po_loc``, ``fenced``, ``rf``,
+        ``rfe``, ``co`` (all earlier-to-later pairs of each location's
+        order) or ``fr`` (each read to every write coherence-after its
+        source, never the read itself).
+        """
+        if name in ("po", "po_loc", "fenced"):
+            return getattr(self.frame, name)
+        key = "index_" + name
+        if key not in self._cache:
+            if name in ("rf", "rfe"):
+                rf, rfe, _, _ = self.covering()
+                pairs: Iterable[IndexEdge] = rf if name == "rf" else rfe
+            elif name == "co":
+                pairs = (
+                    (earlier, later)
+                    for order in self.co_index.values()
+                    for k, earlier in enumerate(order)
+                    for later in order[k + 1:]
+                )
+            elif name == "fr":
+                pairs = self._fr_pairs()
+            else:
+                raise ValueError(f"unknown relation {name!r}")
+            self._cache[key] = frozenset(pairs)
+        return self._cache[key]
+
+    def _fr_pairs(self) -> Iterator[IndexEdge]:
+        locations = self.frame.locations
+        for read in self.frame.reads:
+            source = self.rf_index[read]
+            order = self.co_index.get(locations[read], ())
+            start = 0 if source is None else order.index(source) + 1
+            for later in order[start:]:
+                if later != read:
+                    yield read, later
+
+    # -- MemoryOp views -----------------------------------------------------
+    @property
+    def rf(self) -> Dict[MemoryOp, Optional[MemoryOp]]:
+        """Read -> the write it reads from, ``None`` for the initial value."""
+        if "rf" not in self._cache:
+            ops = self.ops
+            rf_index = self.rf_index
+            self._cache["rf"] = {
+                ops[read]: None if rf_index[read] is None else ops[rf_index[read]]
+                for read in self.frame.reads
+            }
+        return self._cache["rf"]
+
+    @property
+    def co(self) -> Dict[Location, Tuple[MemoryOp, ...]]:
+        """Location -> its writes in coherence order."""
+        if "co" not in self._cache:
+            ops = self.ops
+            self._cache["co"] = {
+                location: tuple(ops[w] for w in order)
+                for location, order in self.co_index.items()
+            }
+        return self._cache["co"]
+
+    @property
+    def po(self) -> FrozenSet[Edge]:
+        """All transitive program-order pairs."""
+        return self.edges("po")
+
+    @property
+    def fenced(self) -> FrozenSet[Edge]:
+        """The po-pairs separated by a fence."""
+        return self.edges("fenced")
+
+    def edges(self, name: str) -> FrozenSet[Edge]:
+        """The full relation ``name`` (see :meth:`index_edges`) over ops."""
+        key = "edges_" + name
+        if key not in self._cache:
+            ops = self.ops
+            self._cache[key] = frozenset(
+                (ops[a], ops[b]) for a, b in self.index_edges(name)
+            )
+        return self._cache[key]
+
     def rf_edges(self) -> FrozenSet[Edge]:
         """Write-to-read edges (initial-value reads contribute none)."""
-        return self._derived(
-            "rf",
-            lambda: frozenset(
-                (writer, read)
-                for read, writer in self.rf.items()
-                if writer is not None
-            ),
-        )
+        return self.edges("rf")
 
     def rfe_edges(self) -> FrozenSet[Edge]:
         """External reads-from: the writer is on another processor."""
-        return self._derived(
-            "rfe",
-            lambda: frozenset(
-                (w, r) for w, r in self.rf_edges() if w.proc != r.proc
-            ),
-        )
+        return self.edges("rfe")
 
     def co_edges(self) -> FrozenSet[Edge]:
         """All earlier-to-later pairs of each location's coherence order."""
-
-        def build() -> FrozenSet[Edge]:
-            edges: Set[Edge] = set()
-            for order in self.co.values():
-                for i, earlier in enumerate(order):
-                    for later in order[i + 1:]:
-                        edges.add((earlier, later))
-            return frozenset(edges)
-
-        return self._derived("co", build)
+        return self.edges("co")
 
     def fr_edges(self) -> FrozenSet[Edge]:
         """From-reads: read -> every write coherence-after its source."""
-
-        def build() -> FrozenSet[Edge]:
-            edges: Set[Edge] = set()
-            for read, writer in self.rf.items():
-                order = self.co.get(read.location, ())
-                start = 0 if writer is None else order.index(writer) + 1
-                for later in order[start:]:
-                    if later is not read:
-                        edges.add((read, later))
-            return frozenset(edges)
-
-        return self._derived("fr", build)
+        return self.edges("fr")
 
     def po_loc_edges(self) -> FrozenSet[Edge]:
         """Program-order pairs over the same location."""
-        return self._derived(
-            "po_loc",
-            lambda: frozenset(
-                (a, b) for a, b in self.po if a.location == b.location
-            ),
-        )
+        return self.edges("po_loc")
 
     def reads(self) -> Tuple[MemoryOp, ...]:
         return tuple(op for op in self.ops if op.reads_memory)
@@ -175,32 +389,17 @@ class Relations:
     def writes(self) -> Tuple[MemoryOp, ...]:
         return tuple(op for op in self.ops if op.writes_memory)
 
-    def _derived(self, key: str, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-
-def program_order_pairs(
-    ops_by_proc: Mapping[int, Sequence[MemoryOp]]
-) -> FrozenSet[Edge]:
-    """All transitive program-order pairs of per-processor op sequences."""
-    edges: Set[Edge] = set()
-    for ops in ops_by_proc.values():
-        for i, earlier in enumerate(ops):
-            for later in ops[i + 1:]:
-                edges.add((earlier, later))
-    return frozenset(edges)
-
 
 def fence_separated_pairs(
-    program: Program, ops_by_proc: Mapping[int, Sequence[MemoryOp]]
-) -> FrozenSet[Edge]:
-    """Po-pairs with a ``Fence`` instruction strictly between them.
+    program: Program, ops: Sequence[MemoryOp], chains: Iterable[Sequence[int]]
+) -> FrozenSet[IndexEdge]:
+    """Po-pairs, as index pairs, with a ``Fence`` strictly between them.
 
-    Positions come from ``thread_pos``, so the program handed in must be
-    the one the operations were generated from (for litmus tests, the
-    *executable* program — warm-up loads shift every position).
+    ``chains`` lists each processor's indices into ``ops`` in program
+    order.  Positions come from ``thread_pos``, so the program handed in
+    must be the one the operations were generated from (for litmus
+    tests, the *executable* program — warm-up loads shift every
+    position).
     """
     fence_positions: List[Tuple[int, ...]] = [
         tuple(
@@ -210,15 +409,18 @@ def fence_separated_pairs(
         )
         for thread in program.threads
     ]
-    edges: Set[Edge] = set()
-    for proc, ops in ops_by_proc.items():
+    edges: Set[IndexEdge] = set()
+    for chain in chains:
+        if not chain:
+            continue
+        proc = ops[chain[0]].proc
         fences = fence_positions[proc] if 0 <= proc < len(fence_positions) else ()
         if not fences:
             continue
-        for i, earlier in enumerate(ops):
-            for later in ops[i + 1:]:
+        for k, earlier in enumerate(chain):
+            for later in chain[k + 1:]:
                 if any(
-                    earlier.thread_pos < pos < later.thread_pos
+                    ops[earlier].thread_pos < pos < ops[later].thread_pos
                     for pos in fences
                 ):
                     edges.add((earlier, later))
@@ -255,18 +457,21 @@ def reads_from_by_value(
     Returns the map and the unexplained reads.
     """
     initial_memory = initial_memory or {}
-    writes: Dict[Location, List[Tuple[int, MemoryOp]]] = {}
+    #: (location, value) -> the writes that stored it, in trace order.
+    writes: Dict[Tuple[Location, Value], List[Tuple[int, MemoryOp]]] = {}
     for pos, op in enumerate(ops):
         if op.writes_memory and op.value_written is not None:
-            writes.setdefault(op.location, []).append((pos, op))
+            writes.setdefault((op.location, op.value_written), []).append(
+                (pos, op)
+            )
     rf: Dict[MemoryOp, Optional[MemoryOp]] = {}
     unexplained: List[MemoryOp] = []
     for pos, read in enumerate(ops):
         if not read.reads_memory:
             continue
         source: Optional[MemoryOp] = None
-        for write_pos, write in writes.get(read.location, ()):
-            if write is read or write.value_written != read.value_read:
+        for write_pos, write in writes.get((read.location, read.value_read), ()):
+            if write is read:
                 continue
             if write.commit_time is None or read.commit_time is None:
                 later = write_pos > pos
@@ -297,36 +502,41 @@ def relations_from_execution(
     which is their commit order on hardware.  ``po`` is issue order where
     every op of a processor records one, else trace order.  ``fenced``
     pairs need the program the trace came from; without one they are
-    empty.  ``initial_memory`` defaults to all-zero memory.
+    empty.  ``initial_memory`` defaults to all-zero memory.  The trace
+    gets a :class:`Frame` of its own, so each model judging it builds
+    its ppo cover once.
 
     Raises :class:`UnexplainedReads` when some read has no source.
     """
     real_ops = tuple(op for op in execution.ops if not op.is_hypothetical)
-    by_proc: Dict[int, List[MemoryOp]] = {}
-    for op in real_ops:
-        by_proc.setdefault(op.proc, []).append(op)
-    for proc, ops in by_proc.items():
-        if all(op.issue_index is not None for op in ops):
-            ops.sort(key=lambda op: op.issue_index)
+    chains: Dict[int, List[int]] = {}
+    for i, op in enumerate(real_ops):
+        chains.setdefault(op.proc, []).append(i)
+    for chain in chains.values():
+        if all(real_ops[i].issue_index is not None for i in chain):
+            chain.sort(key=lambda i: real_ops[i].issue_index)
 
     rf, unexplained = reads_from_by_value(real_ops, initial_memory)
     if unexplained:
         raise UnexplainedReads(unexplained)
-    co: Dict[Location, List[MemoryOp]] = {}
-    for op in real_ops:
-        if op.writes_memory:
-            co.setdefault(op.location, []).append(op)
-
-    fenced: FrozenSet[Edge] = frozenset()
+    fenced: FrozenSet[IndexEdge] = frozenset()
     if program is not None:
-        fenced = fence_separated_pairs(program, by_proc)
+        fenced = fence_separated_pairs(program, real_ops, chains.values())
+    frame = Frame(real_ops, chains.values(), fenced)
+
+    rank = frame.rank
+    rf_index: List[Optional[int]] = [None] * len(real_ops)
+    for read, source in rf.items():
+        rf_index[rank[read]] = None if source is None else rank[source]
+    co: Dict[Location, List[int]] = {}
+    for i, op in enumerate(real_ops):
+        if op.writes_memory:
+            co.setdefault(op.location, []).append(i)
 
     return Relations(
-        ops=real_ops,
-        po=program_order_pairs(by_proc),
-        fenced=fenced,
-        rf=rf,
-        co={loc: tuple(order) for loc, order in co.items()},
+        frame=frame,
+        rf_index=tuple(rf_index),
+        co_index={loc: tuple(order) for loc, order in co.items()},
         drf0=drf0,
         drf0_r=drf0_r,
     )
